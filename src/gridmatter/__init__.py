@@ -55,6 +55,7 @@ from .scheduler import (
     Schedule,
     SimulationError,
     TraceEvent,
+    TraceRound,
     check_exclusion,
     count_rounds,
     run,
@@ -71,10 +72,7 @@ from .algorithms import (
     initial_states,
     leader_of,
     residual_candidates,
-    step_assign_ids,
     step_elect,
-    step_renumber,
-    step_spanning_tree,
     tree_children,
     tree_edges,
     tree_height,

@@ -15,7 +15,7 @@ that to skip steps that cannot change anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import scheduler as _scheduler
@@ -328,39 +328,12 @@ def make_protocol(name: str, config: ParticleConfig, k: int = 1):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-# Single-step entry points over a state snapshot.  These mirror the
-# protocol objects one activation at a time; the inbox is a sequence of
-# (via_port, payload) pairs in the particle's frame.
-
-
-def _as_messages(inbox):
-    return [_scheduler.Message(via_port=a, payload=tuple(m)) for a, m in inbox]
+# Single-step entry point over a state snapshot, one activation at a time.
 
 
 def step_elect(config: ParticleConfig, states: dict, p: Coord) -> ParticleState:
     new, _, _ = ElectProtocol(config).step(p, states[p], [], states)
     return new
-
-
-def step_spanning_tree(config: ParticleConfig, states: dict, p: Coord, inbox=()):
-    new, outbox, _ = TreeProtocol(config).step(
-        p, states[p], _as_messages(inbox), states
-    )
-    return new, list(outbox)
-
-
-def step_renumber(config: ParticleConfig, states: dict, p: Coord, inbox=()):
-    new, outbox, _ = RenumberProtocol(config).step(
-        p, states[p], _as_messages(inbox), states
-    )
-    return new, list(outbox)
-
-
-def step_assign_ids(config: ParticleConfig, states: dict, p: Coord, inbox=(), k: int = 1):
-    new, outbox, _ = IdsProtocol(config, k).step(
-        p, states[p], _as_messages(inbox), states
-    )
-    return new, list(outbox)
 
 
 def update_id_after_move(
@@ -379,7 +352,7 @@ def update_id_after_move(
     m = tracking_modulus(kind, k)
     i = (state.coord_i + di) % m
     j = (state.coord_j + dj) % m
-    return replace(state, coord_i=i, coord_j=j, local_id=color_at(pattern(kind, k), i, j))
+    return _evolve(state, coord_i=i, coord_j=j, local_id=color_at(pattern(kind, k), i, j))
 
 
 def classify_boundary(

@@ -107,14 +107,6 @@ def occupied_ports(config: ParticleConfig, p: Coord) -> set[int]:
     return {a for a, v in enumerate(neighbors(config.kind, p)) if v in occ}
 
 
-def local_to_canonical(kind: GridKind, offset: int, port: int) -> int:
-    return (port + offset) % degree(kind)
-
-
-def canonical_to_local(kind: GridKind, offset: int, port: int) -> int:
-    return (port - offset) % degree(kind)
-
-
 def extended_neighborhood(kind: GridKind, at: Coord) -> set[Coord]:
     """N_G(at), plus the four corners on the square grid."""
     cells = set(neighbors(kind, at))

@@ -63,22 +63,46 @@ class TraceEvent:
     messages: int
 
 
+@dataclass(frozen=True)
+class TraceRound:
+    """One recorded round.  `changes` maps a position in `order` (an
+    explicit order may repeat a particle) to `(transition, messages)` for
+    each activation that changed state or sent; the rest were no-ops."""
+
+    round: int
+    algorithm: str
+    order: Sequence[Coord]
+    changes: dict[int, tuple[str, int]]
+
+
 @dataclass
 class RunTrace:
+    """A run's totals and, when recorded, its rounds; `events` and
+    `to_text()` expand the rounds on each call."""
+
     kind: GridKind
     coords: tuple[Coord, ...]
-    events: list[TraceEvent] = field(default_factory=list)
+    log: list[TraceRound] = field(default_factory=list)
     rounds: int = 0
     activations: int = 0
     messages: int = 0  # accepted by the receiving protocol
     sends: int = 0  # raw emissions
 
-    def to_text(self) -> str:
-        lines = [
-            f"{e.round}\t{e.coord[0]},{e.coord[1]}\t{e.algorithm}\t"
-            f"{e.transition}\t{e.messages}"
-            for e in self.events
+    @property
+    def events(self) -> list[TraceEvent]:
+        return [
+            TraceEvent(r.round, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
+            for r in self.log
+            for pos, p in enumerate(r.order)
         ]
+
+    def to_text(self) -> str:
+        lines = []
+        for r in self.log:
+            head, tail = f"{r.round}\t", f"\t{r.algorithm}\t"
+            for pos, (i, j) in enumerate(r.order):
+                transition, messages = r.changes.get(pos, ("-", 0))
+                lines.append(f"{head}{i},{j}{tail}{transition}\t{messages}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -134,7 +158,7 @@ def run(
     """Run each named algorithm to quiescence, in order.
 
     `k` only matters for the identifier phase.  `record=False` keeps the
-    totals but skips per-event bookkeeping, for bulk runs.
+    totals but leaves `trace.log` empty, for bulk runs.
     """
     from . import algorithms  # runtime import; algorithms drives this engine too
 
@@ -162,7 +186,7 @@ def run(
         # A step reads only its own state, its inbox and the states of its
         # extended neighborhood, so after a no-op with an empty inbox it
         # stays a no-op until a message arrives or one of those states
-        # changes; until then its activations are recorded without the call.
+        # changes; until then its activations are no-ops without the call.
         settled: set[Coord] = set()
         phase_round = 0
         rounds_active = 0
@@ -175,11 +199,12 @@ def run(
             trace.activations += len(order)
             round_changed = False
             round_sends = 0
-            for p in order:
+            changes: dict[int, tuple[str, int]] = {}
+            if record:
+                trace.log.append(TraceRound(trace.rounds + 1, name, order, changes))
+            for pos, p in enumerate(order):
                 inbox = inboxes[p]
                 if not inbox and p in settled:
-                    if record:
-                        trace.events.append(TraceEvent(trace.rounds + 1, p, name, "-", 0))
                     continue
                 if inbox:
                     inboxes[p] = []
@@ -202,17 +227,10 @@ def run(
                     via = (canon + half - states[target].frame_offset) % d
                     inboxes[target].append(Message(via_port=via, payload=payload))
                     round_sends += 1
-                if record:
-                    trace.events.append(
-                        TraceEvent(
-                            round=trace.rounds + 1,
-                            coord=p,
-                            algorithm=name,
-                            transition=proto.describe(state, new_state)
-                            if changed
-                            else "-",
-                            messages=len(outbox),
-                        )
+                if record and (changed or outbox):
+                    changes[pos] = (
+                        proto.describe(state, new_state) if changed else "-",
+                        len(outbox),
                     )
             phase_sends += round_sends
             trace.rounds += 1
@@ -240,11 +258,12 @@ def count_rounds(trace: RunTrace) -> int:
     universe = set(trace.coords)
     pending = set(universe)
     completed = 0
-    for event in trace.events:
-        pending.discard(event.coord)
-        if not pending:
-            completed += 1
-            pending = set(universe)
+    for r in trace.log:
+        for p in r.order:
+            pending.discard(p)
+            if not pending:
+                completed += 1
+                pending = set(universe)
     return completed
 
 
@@ -257,9 +276,10 @@ def check_exclusion(
     every pair of activated particles within a group at grid distance
     two or less is reported.
     """
+    activated = [p for r in trace.log for p in r.order]
     violations = []
     for batch_index, group in enumerate(groups):
-        coords = [trace.events[i].coord for i in group]
+        coords = [activated[i] for i in group]
         for x in range(len(coords)):
             for y in range(x + 1, len(coords)):
                 a, b = coords[x], coords[y]

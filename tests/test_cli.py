@@ -146,6 +146,22 @@ def test_run_ring_stalls_with_exit_3(tmp_path):
     assert "rounds_tree" not in lines
 
 
+def test_run_king_diamond_stalls_by_4_pockets(tmp_path):
+    # no king hole: the middle cell escapes between the diagonal links,
+    # but it is a pocket of the 4-adjacent background
+    path = tmp_path / "diamond.cfg"
+    path.write_text(
+        "grid king\nparticle 0 1\nparticle 1 0\nparticle 1 2\nparticle 2 1\n"
+    )
+    assert "holes=0\n" in cli("verify", str(path)).stdout
+    proc = cli("run", str(path))
+    assert proc.returncode == 3
+    lines = dict(l.split("=", 1) for l in proc.stdout.splitlines())
+    assert lines["leader"] == "none"
+    assert lines["residual"] == "4"
+    assert lines["invariants"] == "stalled-by-4-pockets"
+
+
 def test_run_k_override(rect_cfg):
     proc = cli("run", str(rect_cfg), "--k", "1")
     assert proc.returncode == 0

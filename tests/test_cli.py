@@ -7,7 +7,9 @@ operator sees them.  The forced invariant-failure case monkeypatches the
 verifier in process instead, since a correct engine never produces one.
 """
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -17,7 +19,14 @@ import pytest
 from click.testing import CliRunner
 
 from gridmatter import cli as climod
-from gridmatter.cli import parse_config_text, serialize_config
+from gridmatter.cli import (
+    ConfigDoc,
+    gen_blob,
+    generate_shape,
+    parse_config_text,
+    serialize_config,
+)
+from gridmatter.grid import GridKind
 from gridmatter.particles import find_holes, make_config
 
 import oracles
@@ -96,6 +105,87 @@ def test_generate_allow_holes_keeps_raw_growth():
     doc = parse_config_text(proc.stdout)
     assert doc.config.n == 40
     assert oracles.connected("square", set(doc.config.particles()))
+
+
+# The blob generator's output and the state it leaves its rng in, frozen
+# by digests: the acceptance and golden-trace inputs come from gen_blob
+# calls, some of them sharing one rng, so neither may drift.
+BLOB_SIZES = (1, 2, 30, 200, 1600)
+BLOB_SEEDS = (0, 1, 7, 42)
+
+GOLDEN_BLOBS = {
+    ("square", False): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "b7c5642c4d849d35a6cee7fef624601ab41b7d36919fe86a63adeb5a7efc8518",
+        30: "cd22b2fd5e6f6c8b976294499f6714922b5a7161e9ccfd17326d92aa4bc99b42",
+        200: "d45bfbdb000da4045815568b05e6fa66b012c0b31380eff49084fca8e7eaaf09",
+        1600: "999fb0fd297f1de97726024fb44a8f52c3674d23a8582d1694d95b73a92b3a26",
+    },
+    ("square", True): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "b7c5642c4d849d35a6cee7fef624601ab41b7d36919fe86a63adeb5a7efc8518",
+        30: "a12d91d66317e2b44020c9cf2e7c0fafb9f544df92fc3aeb73f42d363ccda734",
+        200: "72dab91ebefb5c92064ed28f56ced50a4fd2f241c8fd30aace21c0faf2eecc7f",
+        1600: "744562d80ea8d5c1e42fcdb97b67e2949e9d1af94a9ef42e3be32d2c98705eb0",
+    },
+    ("triangular", False): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "3de520bf21221ae58392f881b2c34f412ba47e2aa93d7027795b00027235bed2",
+        30: "31963b5a5498849e2c935fe988d4975c5a21576a69658772bcadb48571285013",
+        200: "37d73ce2363b7289cd907920c00a63802bf2a9fbcaf2e100912edfb32f3daa37",
+        1600: "9254059887cee398f30ee6690a0418c56abdc24396456e8e8a9c8ffa97cef8a4",
+    },
+    ("triangular", True): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "3de520bf21221ae58392f881b2c34f412ba47e2aa93d7027795b00027235bed2",
+        30: "f409674bfacedcf9043f39c68d701d128b97e74b1bfe4f37e43991b1bde30b06",
+        200: "94196817e48d5ab3f1af9d723923b139a048da30cde30089a9ef146ff3487ce2",
+        1600: "29cbd79e39c11d1d1db432e9f50eddedc766149c0f945ebea9aee6bc770e0cc3",
+    },
+    ("king", False): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "10b3e8af78ce5a6b2796b2814ef202f525989d2e6f93a5d10ab56eaef39e0d0e",
+        30: "6f226d4ebbdcfaad5635f43c3cafdcda9644451a6a95532a4dbba180459f0317",
+        200: "7996df7ad973e05685854f5055680bd1a8e219752551a2de2178b47484bfca70",
+        1600: "8334c2cde92dd4f4b9f3dec36c1d7c0870b0eabf28bb5c6c5e39b24d51631740",
+    },
+    ("king", True): {
+        1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
+        2: "10b3e8af78ce5a6b2796b2814ef202f525989d2e6f93a5d10ab56eaef39e0d0e",
+        30: "0992b12c5af0372d3f2b8690755f8ff4ebbe5c45eb8a1893b908c272ad343367",
+        200: "a7441c9cc2d1a49a17266a65d281e0ed43523ea3b20ba01f068b6a460b1a6709",
+        1600: "473b298f27f6ad86c62f85895544b6d9d21c051ec93eacf04eba0106c1c70051",
+    },
+}
+
+GOLDEN_CONFIG_TEXT = {
+    "square": "f92ed97abc2604905e967f4e5b187e994c20e2d8811b39041b20afb35d1d26a2",
+    "triangular": "679062b3ad144aa845d272aee28c5dc1cc1653498276405dbd80e1b9a7e3743f",
+    "king": "30ac315dbbfe6bf8d3f3b4d57106b9fd3eb2bc7ef6ad78788290bef601bc4663",
+}
+
+
+def _blob_digest(kind, n, allow_holes):
+    h = hashlib.sha256()
+    for seed in BLOB_SEEDS:
+        rng = random.Random(seed)
+        cells = sorted(gen_blob(kind, n, rng, allow_holes=allow_holes))
+        h.update(repr((cells, rng.random())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("allow_holes", [False, True])
+@pytest.mark.parametrize("kind", [k.value for k in GridKind])
+def test_gen_blob_golden_digests(kind, allow_holes):
+    got = {n: _blob_digest(GridKind(kind), n, allow_holes) for n in BLOB_SIZES}
+    assert got == GOLDEN_BLOBS[(kind, allow_holes)]
+
+
+@pytest.mark.parametrize("kind", [k.value for k in GridKind])
+def test_generate_shape_config_text_golden(kind):
+    config = generate_shape(GridKind(kind), ["blob", "300"], seed=4)
+    text = serialize_config(ConfigDoc(config=config, k=2, seed=4))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_TEXT[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -30,7 +31,15 @@ from .coloring import (
     pattern,
     tracking_modulus,
 )
-from .grid import Coord, GridKind, degree, distance, opposite_port, port_direction
+from .grid import (
+    Coord,
+    GridKind,
+    degree,
+    directions,
+    distance,
+    opposite_port,
+    port_direction,
+)
 from .particles import (
     ParticleConfig,
     border,
@@ -72,7 +81,6 @@ def parse_config_text(text: str) -> ConfigDoc:
     kind: Optional[GridKind] = None
     k = 1
     seed = 0
-    cells = []
     offsets = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +113,8 @@ def parse_config_text(text: str) -> ConfigDoc:
                     raise ValueError("expected: particle i j [offset]")
                 if not 0 <= w < degree(kind):
                     raise ValueError(f"offset {w} out of range for {kind.value}")
-                cells.append((i, j))
+                if (i, j) in offsets:
+                    raise ValueError(f"duplicate particle {i} {j}")
                 offsets[(i, j)] = w
             else:
                 raise ValueError(f"unknown directive {word!r}")
@@ -113,9 +122,9 @@ def parse_config_text(text: str) -> ConfigDoc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if kind is None:
         raise ValueError("missing grid line")
-    if not cells:
+    if not offsets:
         raise ValueError("no particle lines")
-    return ConfigDoc(config=make_config(kind, cells, offsets), k=k, seed=seed)
+    return ConfigDoc(config=make_config(kind, offsets, offsets), k=k, seed=seed)
 
 
 def serialize_config(doc: ConfigDoc) -> str:
@@ -155,36 +164,52 @@ def gen_ring(outer: int, inner: int) -> set:
     return {(i, j) for i in range(outer) for j in range(outer)} - carved
 
 
-def _is_removable(kind: GridKind, occ: set, p: Coord) -> bool:
-    # p can leave occ (or, when free, join it) without changing occ's
-    # topology: the set stays connected and gains no hole, and on the
-    # king grid no pocket of the 4-adjacent background either
-    mask = sum(bit for bit, q in slot_cells(kind, p) if q in occ)
-    return removal_table(kind)[mask]
-
-
 def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> set:
     """Random connected growth of n cells.
 
     Without --allow-holes the result is hole-free.  On the square and
-    triangular grids pockets are filled and safely removable cells are
-    then peeled back to the requested size.  On the king grid a cell is
-    added only when `_is_removable` says it could leave again, so the
-    set stays free of pockets of the 4-adjacent background as it grows,
-    which is what the king election needs to elect.
+    triangular grids pockets are filled and removable cells are then
+    peeled back to the requested size, one drawn at random from the
+    sorted list of removable cells per step.  On the king grid a cell is
+    added only when it could leave again, so the set stays free of
+    pockets of the 4-adjacent background as it grows, which is what the
+    king election needs to elect.
+
+    A cell is removable when it can leave the set (or, when free, join
+    it) without changing the set's topology: the set stays connected and
+    gains no hole, and on the king grid no pocket of the 4-adjacent
+    background either.  That is a lookup of the cell's slot mask, the
+    occupancy of its 3x3 window, in `removal_table`.  So removing a cell
+    changes the removability only of the cells whose window holds it
+    (Kong & Rosenfeld, "Digital topology", CVGIP 1989), and the peel
+    keeps the sorted list up to date by re-testing just those cells: the
+    list, and so every draw, is the one a full rescan would give.
     """
     if n < 1:
         raise ValueError("blob size must be positive")
     kind = GridKind(kind)
-    d = degree(kind)
+    dirs = directions(kind)
+    table = removal_table(kind)
+    window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
+
+    def removable(p: Coord) -> bool:
+        i, j = p
+        mask = 0
+        for bit, di, dj in window:
+            if (i + di, j + dj) in occ:
+                mask |= bit
+        return table[mask]
+
     grow_simple = kind == GridKind.KING and not allow_holes
+    # choice(seq) and seq[randrange(len(seq))] make the same draw
+    choice = rng.choice
     occ = {(0, 0)}
     cells = [(0, 0)]
     while len(occ) < n:
-        base = cells[rng.randrange(len(cells))]
-        di, dj = port_direction(kind, rng.randrange(d))
-        q = (base[0] + di, base[1] + dj)
-        if q in occ or (grow_simple and not _is_removable(kind, occ, q)):
+        i, j = choice(cells)
+        di, dj = choice(dirs)
+        q = (i + di, j + dj)
+        if q in occ or (grow_simple and not removable(q)):
             continue
         occ.add(q)
         cells.append(q)
@@ -193,9 +218,22 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     report = find_holes(make_config(kind, occ))
     for hole in report.holes:
         occ.update(hole)
+    peelable = sorted(p for p in occ if removable(p))
     while len(occ) > n:
-        removable = sorted(p for p in occ if _is_removable(kind, occ, p))
-        occ.discard(removable[rng.randrange(len(removable))])
+        i, j = peelable.pop(rng.randrange(len(peelable)))
+        occ.discard((i, j))
+        # the cells whose window holds (i, j)
+        for _, di, dj in window:
+            q = (i - di, j - dj)
+            if q not in occ:
+                continue
+            at = bisect_left(peelable, q)
+            listed = at < len(peelable) and peelable[at] == q
+            if removable(q) != listed:
+                if listed:
+                    del peelable[at]
+                else:
+                    peelable.insert(at, q)
     return occ
 
 
@@ -397,6 +435,9 @@ def cli():
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def generate(shape, kind, seed, k, allow_holes, output):
     """Emit a config file: rect WxH | line N | ring OUTER INNER | blob N."""
+    if k < 1:
+        click.echo("error: k must be >= 1", err=True)
+        sys.exit(EXIT_INPUT)
     try:
         config = generate_shape(GridKind(kind), list(shape), seed, allow_holes)
     except (ValueError, TypeError) as exc:

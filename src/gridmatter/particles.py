@@ -89,12 +89,14 @@ def validate_config(config: ParticleConfig) -> list[str]:
 def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
     if not cells:
         return False
+    dirs = directions(kind)
     start = next(iter(cells))
     seen = {start}
     queue = deque([start])
     while queue:
-        u = queue.popleft()
-        for v in neighbors(kind, u):
+        i, j = queue.popleft()
+        for di, dj in dirs:
+            v = (i + di, j + dj)
             if v in cells and v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -147,14 +149,12 @@ def _exterior_and_pockets(
     which are exactly the holes.
     """
     occ = config.occupied
+    dirs = directions(config.kind)
     min_i, max_i, min_j, max_j = _bounding_box(occ)
     min_i -= 1
     max_i += 1
     min_j -= 1
     max_j += 1
-
-    def in_box(c: Coord) -> bool:
-        return min_i <= c[0] <= max_i and min_j <= c[1] <= max_j
 
     frame = [
         (i, j)
@@ -172,9 +172,17 @@ def _exterior_and_pockets(
             exterior.add(c)
             queue.append(c)
     while queue:
-        u = queue.popleft()
-        for v in neighbors(config.kind, u):
-            if in_box(v) and v not in occ and v not in exterior:
+        i, j = queue.popleft()
+        for di, dj in dirs:
+            vi = i + di
+            vj = j + dj
+            v = (vi, vj)
+            if (
+                min_i <= vi <= max_i
+                and min_j <= vj <= max_j
+                and v not in occ
+                and v not in exterior
+            ):
                 exterior.add(v)
                 queue.append(v)
 
@@ -189,8 +197,9 @@ def _exterior_and_pockets(
             queue = deque([c])
             seen.add(c)
             while queue:
-                u = queue.popleft()
-                for v in neighbors(config.kind, u):
+                ui, uj = queue.popleft()
+                for di, dj in dirs:
+                    v = (ui + di, uj + dj)
                     if v not in occ and v not in exterior and v not in seen:
                         seen.add(v)
                         pocket.add(v)
@@ -212,11 +221,14 @@ def border(config: ParticleConfig) -> set[Coord]:
     qualify; it is interior as far as the outside world can tell.
     """
     exterior, _ = _exterior_and_pockets(config)
-    occ = config.occupied
+    dirs = directions(config.kind)
     out = set()
-    for p in occ:
-        if any(v in exterior for v in neighbors(config.kind, p)):
-            out.add(p)
+    for p in config.occupied:
+        i, j = p
+        for di, dj in dirs:
+            if (i + di, j + dj) in exterior:
+                out.add(p)
+                break
     return out
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmatter import cli as climod
 from gridmatter.cli import (
@@ -186,6 +188,44 @@ def test_generate_shape_config_text_golden(kind):
     config = generate_shape(GridKind(kind), ["blob", "300"], seed=4)
     text = serialize_config(ConfigDoc(config=config, k=2, seed=4))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_TEXT[kind]
+
+
+# The blob generator's postconditions, checked against the oracles.  On
+# the king grid a hole is a pocket of the 4-adjacent background, so its
+# blobs are checked for square-grid holes.
+HOLE_GRID = {"square": "square", "triangular": "triangular", "king": "square"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from([k.value for k in GridKind]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+    allow_holes=st.booleans(),
+)
+def test_gen_blob_properties(kind, n, seed, allow_holes):
+    cells = gen_blob(GridKind(kind), n, random.Random(seed), allow_holes=allow_holes)
+    assert len(cells) == n
+    assert oracles.connected(kind, cells)
+    if not allow_holes:
+        assert not oracles.holes(HOLE_GRID[kind], cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from([k.value for k in GridKind]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(1, 12),
+)
+def test_config_text_roundtrips(kind, n, seed, k):
+    config = generate_shape(GridKind(kind), ["blob", str(n)], seed)
+    doc = ConfigDoc(config=config, k=k, seed=seed)
+    again = parse_config_text(serialize_config(doc))
+    assert again.config.kind == config.kind
+    assert again.config.occupied == config.occupied
+    assert again.config.frame_offsets == config.frame_offsets
+    assert (again.k, again.seed) == (k, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +417,7 @@ def test_color_table_king_k2_blocks():
         (("frobnicate",), "No such command"),
         (("color-table", "square", "99"), "supported up to 12"),
         (("color-table", "square", "0"), ">= 1"),
+        (("generate", "--k", "0", "rect", "2x2"), "k must be >= 1"),
     ],
 )
 def test_input_errors_exit_4(args, needle, tmp_path):
@@ -405,6 +446,14 @@ def test_disconnected_config_rejected(tmp_path):
     proc = cli("run", str(path))
     assert proc.returncode == 4
     assert "not connected" in proc.stderr
+
+
+def test_duplicate_particle_line_exits_4(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("grid square\nparticle 0 0 1\nparticle 0 0 2\n")
+    proc = cli("verify", str(path))
+    assert proc.returncode == 4
+    assert "line 3: duplicate particle 0 0" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ own frame; the engine translates to the receiver's frame on delivery.
 
 A step must return the identical state object when nothing changed;
 quiescence detection relies on it.  A step reads nothing but p, its own
-state, its inbox and the states in p's extended neighborhood (its grid
-neighbors, plus the corners on the square grid); the engine relies on
-that to skip steps that cannot change anything.
+state, its inbox and the cells at its algorithm's `read_offsets` from p
+(elect: its slot cells, so the ports plus the corners on the square
+grid; tree: its ports; renumber and ids: none).  On an empty inbox only
+a state for which its algorithm's `CAN_ACT` predicate holds may change
+or send.  The engine relies on both to step only particles that can act.
 """
 
 from __future__ import annotations
@@ -76,17 +78,25 @@ def initial_states(config: ParticleConfig) -> dict:
     }
 
 
-def _neighbor_lists(config: ParticleConfig):
-    """Per particle, the occupied neighbor coordinate at each canonical port."""
-    dirs = directions(config.kind)
-    occupied = config.occupied
-    out = {}
-    for p in config.particles():
-        i, j = p
-        out[p] = tuple(
-            q if (q := (i + di, j + dj)) in occupied else None for di, dj in dirs
-        )
-    return out
+def read_offsets(name: str, kind: GridKind) -> tuple[Coord, ...]:
+    """The cells, as offsets from p, whose states a step of `name` reads."""
+    if name == ELECT:
+        return tuple(c for _, c in slot_cells(kind, (0, 0)))
+    if name == TREE:
+        return directions(kind)
+    if name in (RENUMBER, IDS):
+        return ()
+    raise ValueError(f"unknown algorithm {name!r}")
+
+
+# Per algorithm, the states that can change or send on an empty inbox;
+# any other state's step on an empty inbox returns it and sends nothing.
+CAN_ACT = {
+    ELECT: lambda s: s.status == STATUS_CANDIDATE,
+    TREE: lambda s: s.status == STATUS_LEADER or s.tree_joined,
+    RENUMBER: lambda s: s.status == STATUS_LEADER and not s.renumber_done,
+    IDS: lambda s: s.status == STATUS_LEADER and not s.ids_done,
+}
 
 
 class ElectProtocol:
@@ -106,20 +116,17 @@ class ElectProtocol:
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
         self.table = removal_table(config.kind)
-        occ = config.occupied
-        # only occupied slots can hold candidates
-        self.slots = {
-            p: tuple((bit, q) for bit, q in slot_cells(config.kind, p) if q in occ)
-            for p in config.particles()
-        }
+        self.slots = slot_cells(config.kind, (0, 0))
         self.port_bits = (1 << degree(config.kind)) - 1
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
             return state, (), 0
+        i, j = p
         mask = 0
-        for bit, q in self.slots[p]:
-            if states[q].status == STATUS_CANDIDATE:
+        for bit, (di, dj) in self.slots:
+            qs = states.get((i + di, j + dj))  # None on an empty cell
+            if qs is not None and qs.status == STATUS_CANDIDATE:
                 mask |= bit
         if not self.table[mask]:
             return state, (), 0
@@ -148,20 +155,21 @@ class TreeProtocol:
         self.kind = config.kind
         self.dirs = directions(config.kind)
         self.d = len(self.dirs)
-        self.nbr = _neighbor_lists(config)
-        self.occ_canonical = {
-            p: [a for a, q in enumerate(row) if q is not None]
-            for p, row in self.nbr.items()
-        }
         self.payload = payload
 
-    def _local_occupied(self, p, state):
-        return {(a - state.frame_offset) % self.d for a in self.occ_canonical[p]}
+    def _local_occupied(self, p, state, states):
+        i, j = p
+        return {
+            (a - state.frame_offset) % self.d
+            for a, (di, dj) in enumerate(self.dirs)
+            if (i + di, j + dj) in states
+        }
 
     def _child_gone(self, p, local_port, state, states):
         # true when the neighbor through local_port has joined under a
         # different parent
-        q = self.nbr[p][(local_port + state.frame_offset) % self.d]
+        di, dj = self.dirs[(local_port + state.frame_offset) % self.d]
+        q = (p[0] + di, p[1] + dj)
         qs = states[q]
         if not qs.tree_joined or qs.status == STATUS_LEADER:
             return qs.status == STATUS_LEADER
@@ -171,7 +179,7 @@ class TreeProtocol:
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
             if not state.tree_joined:
-                children = frozenset(self._local_occupied(p, state))
+                children = frozenset(self._local_occupied(p, state, states))
                 outbox = [(a, self.payload) for a in sorted(children)]
                 return _evolve(state, tree_joined=True, child_ports=children), outbox, 0
             children = frozenset(
@@ -187,7 +195,7 @@ class TreeProtocol:
                 return state, (), 0
             receipts = frozenset(m.via_port for m in inbox)
             parent = inbox[0].via_port
-            children = frozenset(self._local_occupied(p, state) - receipts)
+            children = frozenset(self._local_occupied(p, state, states) - receipts)
             children = frozenset(
                 a for a in children if not self._child_gone(p, a, state, states)
             )
@@ -466,6 +474,8 @@ def tree_height(kind: GridKind, states: dict) -> int:
     while queue:
         p = queue.pop()
         for q in tree_children(kind, states, p):
+            if q not in states:
+                raise ValueError(f"child {q} of {p} is not a particle")
             if q not in depth:
                 depth[q] = depth[p] + 1
                 queue.append(q)

@@ -38,12 +38,11 @@ from .grid import (
     directions,
     distance,
     opposite_port,
-    port_direction,
 )
 from .particles import (
     ParticleConfig,
-    border,
     find_holes,
+    holes_and_border,
     make_config,
     mtree,
     radius,
@@ -293,41 +292,45 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
     if stragglers:
         violations.append(f"non-retired={len(stragglers)}")
 
-    # tree shape and reciprocity
-    parented = [p for p, s in states.items() if s.parent_port is not None]
-    if len(parented) != config.n - 1 or leader in parented:
+    # tree shape and reciprocity, from each particle's parent cell and
+    # the cell behind each of its child ports
+    dirs = directions(kind)
+    d = len(dirs)
+
+    def cell(p, s, port):
+        di, dj = dirs[(port + s.frame_offset) % d]
+        return (p[0] + di, p[1] + dj)
+
+    parent = {
+        p: cell(p, s, s.parent_port)
+        for p, s in states.items()
+        if s.parent_port is not None
+    }
+    child_port = {
+        p: {cell(p, s, a): a for a in s.child_ports} for p, s in states.items()
+    }
+    if len(parent) != config.n - 1 or leader in parent:
         violations.append("tree-parent-count")
     try:
         algorithms.tree_height(kind, states)
     except ValueError as exc:
         violations.append(f"tree-span: {exc}")
-    for p in parented:
-        q = algorithms.tree_parent(kind, states, p)
+    for p, q in parent.items():
         if q not in config.occupied:
             violations.append(f"tree-parent-off-system: {p}")
-            continue
-        if p not in algorithms.tree_children(kind, states, q):
+        elif p not in child_port[q]:
             violations.append(f"tree-reciprocity: {p}<->{q}")
 
     # frame agreement: equal offsets, and labels across every tree edge
     # are half-turn images of each other
     want = states[leader].frame_offset
-    d = degree(kind)
     for p, s in states.items():
         if s.frame_offset != want:
             violations.append(f"frame-offset: {p}")
-    for p in parented:
-        s = states[p]
-        q = algorithms.tree_parent(kind, states, p)
-        back = opposite_port(kind, s.parent_port)
-        qs = states[q]
-        toward = None
-        for a in qs.child_ports:
-            canon = (a + qs.frame_offset) % d
-            di, dj = port_direction(kind, canon)
-            if (q[0] + di, q[1] + dj) == p:
-                toward = a
-        if toward != back:
+    for p, q in parent.items():
+        if q in child_port and child_port[q].get(p) != opposite_port(
+            kind, states[p].parent_port
+        ):
             violations.append(f"port-reciprocity: {p}<->{q}")
 
     # identifier soundness
@@ -570,12 +573,12 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
 def verify(config_path):
     """Validate a config file and describe it."""
     doc = _load_doc(config_path)
-    holes = find_holes(doc.config)
+    holes, edge = holes_and_border(doc.config)
     lines = [
         ("grid", doc.config.kind.value),
         ("particles", doc.config.n),
         ("holes", holes.count),
-        ("border", len(border(doc.config))),
+        ("border", len(edge)),
         ("k", doc.k),
         ("seed", doc.seed),
     ]

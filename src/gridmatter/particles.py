@@ -209,18 +209,11 @@ def _exterior_and_pockets(
     return exterior, pockets
 
 
-def find_holes(config: ParticleConfig) -> HoleReport:
-    _, pockets = _exterior_and_pockets(config)
+def _holes(pockets: list[set[Coord]]) -> HoleReport:
     return HoleReport(holes=tuple(frozenset(s) for s in pockets))
 
 
-def border(config: ParticleConfig) -> set[Coord]:
-    """Particles with at least one unoccupied neighbor on the exterior.
-
-    A particle whose only free neighbors lie inside holes does not
-    qualify; it is interior as far as the outside world can tell.
-    """
-    exterior, _ = _exterior_and_pockets(config)
+def _border(config: ParticleConfig, exterior: set[Coord]) -> set[Coord]:
     dirs = directions(config.kind)
     out = set()
     for p in config.occupied:
@@ -230,6 +223,27 @@ def border(config: ParticleConfig) -> set[Coord]:
                 out.add(p)
                 break
     return out
+
+
+def find_holes(config: ParticleConfig) -> HoleReport:
+    _, pockets = _exterior_and_pockets(config)
+    return _holes(pockets)
+
+
+def border(config: ParticleConfig) -> set[Coord]:
+    """Particles with at least one unoccupied neighbor on the exterior.
+
+    A particle whose only free neighbors lie inside holes does not
+    qualify; it is interior as far as the outside world can tell.
+    """
+    exterior, _ = _exterior_and_pockets(config)
+    return _border(config, exterior)
+
+
+def holes_and_border(config: ParticleConfig) -> tuple[HoleReport, set[Coord]]:
+    """`find_holes` and `border` from one flood of the exterior."""
+    exterior, pockets = _exterior_and_pockets(config)
+    return _holes(pockets), _border(config, exterior)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +457,9 @@ def _distances_within(config: ParticleConfig, source: Coord) -> dict[Coord, int]
 
 def radius(config: ParticleConfig) -> int:
     """r(P): min over particles of the max intra-P distance to the border."""
-    report = find_holes(config)
+    report, b = holes_and_border(config)
     if report.count:
         raise ValueError("radius is defined for hole-free configurations")
-    b = border(config)
     best = None
     for u in config.particles():
         dist = _distances_within(config, u)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .grid import Coord, GridKind, directions, distance
-from .particles import ParticleConfig, extended_neighborhood
+from .particles import ParticleConfig
 
 POLICY_ROUND_ROBIN = "round_robin"
 POLICY_RANDOM = "seeded_random_permutation_per_round"
@@ -122,6 +122,22 @@ class RunResult:
     reports: list[AlgorithmReport]
 
 
+def _shuffled(particles: list[Coord], rng: random.Random) -> list[Coord]:
+    """`rng.shuffle` of a copy of `particles`: the same getrandbits draws,
+    so the same permutation and rng state, inlined to save the method
+    call per draw."""
+    order = list(particles)
+    getrandbits = rng.getrandbits
+    for i in range(len(order) - 1, 0, -1):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def _order_for_round(
     schedule: Schedule,
     particles: list[Coord],
@@ -131,9 +147,7 @@ def _order_for_round(
     if schedule.policy == POLICY_ROUND_ROBIN:
         return particles
     if schedule.policy == POLICY_RANDOM:
-        order = list(particles)
-        rng.shuffle(order)
-        return order
+        return _shuffled(particles, rng)
     if schedule.policy == POLICY_EXPLICIT:
         if schedule.orders and round_index < len(schedule.orders):
             order = list(schedule.orders[round_index])
@@ -174,20 +188,20 @@ def run(
     dirs = directions(config.kind)
     d = len(dirs)
     half = d // 2  # opposite_port is a half turn
-    # who reads whom; the relation is symmetric
-    readers = {
-        p: [q for q in extended_neighborhood(config.kind, p) if q in config.occupied]
-        for p in particles
-    }
 
     for name in pipeline:
         proto = algorithms.make_protocol(name, config, k)
         step = proto.step
-        # A step reads only its own state, its inbox and the states of its
-        # extended neighborhood, so after a no-op with an empty inbox it
-        # stays a no-op until a message arrives or one of those states
-        # changes; until then its activations are no-ops without the call.
-        settled: set[Coord] = set()
+        # A step reads only its own state, its inbox and the cells at its
+        # algorithm's read offsets, and on an empty inbox only a state in
+        # the can-act predicate acts.  So only the awake particles are
+        # stepped: those that can act or have mail, plus those whose read
+        # cells changed since their last silent no-op on an empty inbox,
+        # which puts a particle to sleep.  A sleeping particle's
+        # activation is a no-op without the call.
+        reads = algorithms.read_offsets(name, config.kind)
+        can_act = algorithms.CAN_ACT[name]
+        awake = {p for p in particles if inboxes[p] or can_act(states[p])}
         phase_round = 0
         rounds_active = 0
         phase_msgs = 0
@@ -203,9 +217,9 @@ def run(
             if record:
                 trace.log.append(TraceRound(trace.rounds + 1, name, order, changes))
             for pos, p in enumerate(order):
-                inbox = inboxes[p]
-                if not inbox and p in settled:
+                if p not in awake:
                     continue
+                inbox = inboxes[p]
                 if inbox:
                     inboxes[p] = []
                 state = states[p]
@@ -214,10 +228,13 @@ def run(
                 if changed:
                     states[p] = new_state
                     round_changed = True
-                    settled.discard(p)
-                    settled.difference_update(readers[p])
-                elif not (inbox or outbox or accepted):
-                    settled.add(p)
+                    i, j = p
+                    for di, dj in reads:
+                        q = (i + di, j + dj)
+                        if q in states:
+                            awake.add(q)
+                elif not (inbox or outbox):
+                    awake.discard(p)
                 phase_msgs += accepted
                 for local_port, payload in outbox:
                     canon = (local_port + new_state.frame_offset) % d
@@ -226,6 +243,7 @@ def run(
                     # the receiver's local label of the reverse edge
                     via = (canon + half - states[target].frame_offset) % d
                     inboxes[target].append(Message(via_port=via, payload=payload))
+                    awake.add(target)
                     round_sends += 1
                 if record and (changed or outbox):
                     changes[pos] = (

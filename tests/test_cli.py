@@ -21,15 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmatter import cli as climod
+from gridmatter.algorithms import (
+    PIPELINE_FULL,
+    STATUS_LEADER,
+    ParticleState,
+    leader_of,
+    tree_parent,
+)
 from gridmatter.cli import (
     ConfigDoc,
     gen_blob,
+    gen_rect,
     generate_shape,
     parse_config_text,
+    random_offsets,
     serialize_config,
 )
 from gridmatter.grid import GridKind
 from gridmatter.particles import find_holes, make_config
+from gridmatter.scheduler import Schedule, run
 
 import oracles
 
@@ -313,6 +323,75 @@ def test_run_invariant_failure_exits_2(rect_cfg, monkeypatch):
     result = CliRunner().invoke(climod.cli, ["run", str(rect_cfg)])
     assert result.exit_code == 2
     assert "invariants=fail:forced" in result.output
+
+
+def _finished_states(kind, cells, k=1):
+    cfg = make_config(kind, cells, random_offsets(kind, cells, random.Random(2)))
+    res = run(cfg, PIPELINE_FULL, Schedule(), k=k, record=False)
+    assert climod.verify_run(cfg, k, res.states) == []
+    return cfg, dict(res.states)
+
+
+def _plant(states, p, **changes):
+    states[p] = ParticleState(**{**states[p].__dict__, **changes})
+
+
+def test_verify_run_reports_an_off_system_parent():
+    # the line's leader is (2, 0); (0, 0) now points its parent port
+    # out of the system, at (-1, 0)
+    cfg, states = _finished_states(GridKind.SQUARE, {(0, 0), (1, 0), (2, 0)})
+    _plant(states, (0, 0), parent_port=(0 - states[(0, 0)].frame_offset) % 4)
+    assert climod.verify_run(cfg, 1, states) == ["tree-parent-off-system: (0, 0)"]
+
+
+def test_verify_run_reports_planted_violations():
+    # on the 3x3 block the leader is (2, 2); (0, 0) is a leaf under
+    # (0, 1), and ids alternate 0/1 like a checkerboard
+    cfg, clean = _finished_states(GridKind.SQUARE, gen_rect(3, 3))
+    assert leader_of(clean) == (2, 2)
+    assert tree_parent(cfg.kind, clean, (0, 0)) == (0, 1)
+
+    states = dict(clean)
+    _plant(states, (0, 0), status=STATUS_LEADER)
+    assert climod.verify_run(cfg, 1, states) == ["leaders=2"]
+
+    states = dict(clean)
+    _plant(states, (0, 1), child_ports=frozenset())
+    assert climod.verify_run(cfg, 1, states) == [
+        "tree-span: tree does not span the system",
+        "tree-reciprocity: (0, 0)<->(0, 1)",
+        "port-reciprocity: (0, 0)<->(0, 1)",
+    ]
+
+    states = dict(clean)
+    s = states[(0, 0)]
+    # a child port toward the empty cell (-1, 0)
+    _plant(states, (0, 0), child_ports=frozenset({(0 - s.frame_offset) % 4}))
+    assert climod.verify_run(cfg, 1, states) == [
+        "tree-span: child (-1, 0) of (0, 0) is not a particle",
+    ]
+
+    states = dict(clean)
+    # the same cells behind every port, labelled one port further on
+    _plant(
+        states,
+        (0, 0),
+        frame_offset=(s.frame_offset + 1) % 4,
+        parent_port=(s.parent_port - 1) % 4,
+    )
+    assert climod.verify_run(cfg, 1, states) == [
+        "frame-offset: (0, 0)",
+        "port-reciprocity: (0, 0)<->(0, 1)",
+    ]
+
+    states = dict(clean)
+    _plant(states, (1, 1), local_id=1)
+    assert climod.verify_run(cfg, 1, states) == [
+        "id-collision: (0, 1) (1, 1)",
+        "id-collision: (1, 0) (1, 1)",
+        "id-collision: (1, 1) (1, 2)",
+        "id-collision: (1, 1) (2, 1)",
+    ]
 
 
 def test_run_svg_emission(rect_cfg, tmp_path):

@@ -1,8 +1,10 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
 from gridmatter.cli import gen_blob, gen_rect, random_offsets
 from gridmatter.particles import make_config
@@ -14,6 +16,7 @@ from gridmatter.scheduler import (
     Schedule,
     SimulationError,
     TraceRound,
+    _order_for_round,
     check_exclusion,
     count_rounds,
     run,
@@ -275,3 +278,121 @@ def test_golden_trace_digests(kind, shape):
         assert _states_text(quiet.states) == _states_text(res.states)
     got = (text.hexdigest(), reports.hexdigest(), states.hexdigest())
     assert got == GOLDEN[(kind, shape)]
+
+
+# ---------------------------------------------------------------------------
+# The engine steps only awake particles.  That is exact only while every
+# step reads nothing but its own state, its inbox and its algorithm's
+# `read_offsets` cells, and only `CAN_ACT` states act on an empty inbox;
+# the audit below checks both on every particle at every step call.
+
+
+class ReadLog(dict):
+    """A states dict that records the keys read while `reads` is a set."""
+
+    reads = None
+
+    def __getitem__(self, key):
+        if self.reads is not None:
+            self.reads.add(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        if self.reads is not None:
+            self.reads.add(key)
+        return dict.get(self, key, default)
+
+    def __contains__(self, key):
+        if self.reads is not None:
+            self.reads.add(key)
+        return dict.__contains__(self, key)
+
+
+def _whole(name):
+    def method(self, *args):
+        if self.reads is not None:
+            self.reads.add(name)  # not a cell, so never an allowed read
+        return getattr(dict, name)(self, *args)
+    return method
+
+
+for _name in ("__iter__", "__len__", "keys", "values", "items", "copy"):
+    setattr(ReadLog, _name, _whole(_name))
+
+
+def _audited_step(name, kind, step, dormant):
+    offsets = algorithms.read_offsets(name, kind)
+    can_act = algorithms.CAN_ACT[name]
+
+    def checked(p, state, inbox, states):
+        states.reads = set()
+        try:
+            out = step(p, state, inbox, states)
+        finally:
+            reads, states.reads = states.reads, None
+        allowed = {p} | {(p[0] + di, p[1] + dj) for di, dj in offsets}
+        assert reads <= allowed, (name, p, sorted(map(str, reads - allowed)))
+        if not inbox and not can_act(state):
+            dormant[name] += 1
+            assert out[0] is state and not out[1], (name, p)
+        return out
+
+    def audited(p, state, inbox, states):
+        # every particle as it stands, on an empty inbox, then the call
+        # the engine asked for
+        for q in list(dict.keys(states)):
+            checked(q, dict.__getitem__(states, q), [], states)
+        return checked(p, state, inbox, states)
+
+    return audited
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_steps_read_only_declared_cells_and_only_can_act_states_act(
+    kind, monkeypatch
+):
+    make_protocol = algorithms.make_protocol
+    initial_states = algorithms.initial_states
+    dormant = dict.fromkeys(PIPELINE_FULL, 0)
+
+    def audited_protocol(name, config, k=1):
+        proto = make_protocol(name, config, k)
+        # only step and describe, as a wrapping benchmark tracer exposes
+        return SimpleNamespace(
+            step=_audited_step(name, config.kind, proto.step, dormant),
+            describe=proto.describe,
+        )
+
+    cases = []
+    for n, seed in ((12, 3), (30, 4)):
+        cells = gen_blob(kind, n, random.Random(seed))
+        cfg = make_config(kind, cells, random_offsets(kind, cells, random.Random(seed)))
+        for sched in _golden_schedules(cells):
+            cases.append((cfg, sched, run(cfg, PIPELINE_FULL, sched, k=2)))
+    monkeypatch.setattr(algorithms, "make_protocol", audited_protocol)
+    monkeypatch.setattr(
+        algorithms, "initial_states", lambda config: ReadLog(initial_states(config))
+    )
+    for cfg, sched, plain in cases:
+        res = run(cfg, PIPELINE_FULL, sched, k=2)
+        assert isinstance(res.states, ReadLog)
+        assert res.trace.to_text() == plain.trace.to_text()
+        assert _states_text(res.states) == _states_text(plain.states)
+    assert all(dormant.values()), dormant
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1600])
+def test_random_order_is_random_shuffle_of_sorted_particles(n):
+    # the engine inlines random.shuffle's draws; a Python release that
+    # changes random.shuffle or _randbelow breaks this test first
+    particles = sorted((i % 40, i // 40) for i in range(n))
+    before = list(particles)
+    schedule = Schedule(POLICY_RANDOM)
+    for seed in (0, 1, 7, 2**31 - 1):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for round_index in range(3):
+            expected = list(particles)
+            ref.shuffle(expected)
+            assert _order_for_round(schedule, particles, round_index, ours) == expected
+            assert ours.getstate() == ref.getstate()
+    assert particles == before

@@ -25,7 +25,6 @@ from .particles import (
     border,
     extended_neighborhood,
     find_holes,
-    is_articulation,
     is_s_contractible,
     is_s_contractible_local,
     make_config,
@@ -71,8 +70,6 @@ from .algorithms import (
     id_histogram,
     initial_states,
     leader_of,
-    residual_candidates,
-    step_elect,
     tree_children,
     tree_edges,
     tree_height,

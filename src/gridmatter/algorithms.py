@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import scheduler as _scheduler
 from .coloring import color_at, coord_update_receive, pattern, tracking_modulus
 from .grid import (
     Coord,
@@ -336,14 +335,6 @@ def make_protocol(name: str, config: ParticleConfig, k: int = 1):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-# Single-step entry point over a state snapshot, one activation at a time.
-
-
-def step_elect(config: ParticleConfig, states: dict, p: Coord) -> ParticleState:
-    new, _, _ = ElectProtocol(config).step(p, states[p], [], states)
-    return new
-
-
 def update_id_after_move(
     kind: GridKind, k: int, state: ParticleState, port: int
 ) -> ParticleState:
@@ -408,23 +399,6 @@ def classify_boundary(
     if turning not in (-d, d):
         raise AssertionError(f"boundary walk turned {turning}, expected +-{d}")
     return ("outer" if turning < 0 else "hole"), length
-
-
-def residual_candidates(
-    config: ParticleConfig, schedule: Optional[_scheduler.Schedule] = None
-) -> frozenset:
-    """Particles never eliminated by the election.
-
-    Empty neighborhood-connectivity never holds around a hole, so a
-    holey component leaves a cycle of candidates; a hole-free one leaves
-    exactly the leader.
-    """
-    if schedule is None:
-        schedule = _scheduler.Schedule()
-    result = _scheduler.run(config, (ELECT,), schedule, record=False)
-    return frozenset(
-        p for p, s in result.states.items() if s.status != STATUS_NON_CANDIDATE
-    )
 
 
 # Inspection helpers over a finished run's states.

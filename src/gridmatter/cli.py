@@ -377,7 +377,9 @@ def _svg_position(kind: GridKind, p: Coord) -> tuple:
     return (float(p[0]), float(p[1]))
 
 
-def render_svg(config: ParticleConfig, states: dict, show_ids: bool) -> str:
+def render_svg(
+    config: ParticleConfig, states: dict, show_ids: bool, show_tree: bool
+) -> str:
     scale = 28.0
     pos = {p: _svg_position(config.kind, p) for p in config.particles()}
     xs = [xy[0] for xy in pos.values()]
@@ -395,7 +397,7 @@ def render_svg(config: ParticleConfig, states: dict, show_ids: bool) -> str:
         f'viewBox="0 0 {w:.0f} {h:.0f}">'
     ]
     for p in config.particles():
-        q = algorithms.tree_parent(config.kind, states, p)
+        q = algorithms.tree_parent(config.kind, states, p) if show_tree else None
         if q is not None:
             x1, y1 = at(p)
             x2, y2 = at(q)
@@ -522,19 +524,20 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
     leader = algorithms.leader_of(result.states)
 
     if svg_dir:
+        # Each file shows the states as its phase left them.  Later phases
+        # change no status and no parent cell (renumber turns parent_port
+        # and frame_offset together), so the final states draw every phase
+        # once the tree and the ids are hidden where not yet built.
         out = Path(svg_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for idx, name in enumerate(algorithms.PIPELINE_FULL):
-            phase = run_pipeline(
-                config,
-                algorithms.PIPELINE_FULL[: idx + 1],
-                sched,
-                k=k,
-                max_activations=max_activations,
-                record=False,
-            )
+        for name in algorithms.PIPELINE_FULL:
             (out / f"{name}.svg").write_text(
-                render_svg(config, phase.states, show_ids=name == algorithms.IDS)
+                render_svg(
+                    config,
+                    result.states,
+                    show_ids=name == algorithms.IDS,
+                    show_tree=name != algorithms.ELECT,
+                )
             )
 
     if leader is None:

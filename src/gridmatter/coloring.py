@@ -5,12 +5,16 @@ power: vertices sharing a color must be at grid distance greater than k.
 The optimal color counts are ceil((k+1)^2/2) for the square grid,
 ceil(3(k+1)^2/4) for the triangular grid and (k+1)^2 for the king grid.
 
-Every pattern returned here is doubly periodic and is certified at
-construction time by `verify_coloring`, a brute-force scan of one period
-window.  The square family is linear, (i + t*j) mod m with t = k for odd
+Every pattern is doubly periodic and is held as its period table:
+its scheme (linear, stacked strips or lattice cosets) fills one period
+once, and `color_at`, `verify_coloring` and `color_table_text` read only
+that table.  Each returned pattern is certified at construction time by
+`verify_coloring`, a brute-force scan of one period window expanded by
+k.  The square family is linear, (i + t*j) mod m with t = k for odd
 k and t = k+1 for even k (the t = k choice fails for even k, e.g. the
 offset (1,3) collides at k=4, while t = k+1 passes the scan for every
-supported k).  The king pattern tiles (k+1)x(k+1) blocks.  Triangular
+supported k).  The king pattern tiles (k+1)x(k+1) blocks, the cosets of
+the lattice spanned by (k+1, 0) and (0, k+1).  Triangular
 patterns are found by a deterministic search: the stacked-strip form for
 odd k and the linear form for even k, each also tried with the j axis
 mirrored, and finally cosets of integer sublattices of determinant
@@ -26,13 +30,12 @@ color, since each modulus is a multiple of both pattern periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import eq
 from typing import Optional, Union
 
-import numpy as np
-
-from .grid import Coord, GridKind, degree, distance, port_direction
+from .grid import Coord, GridKind, distance, port_direction
 
 
 def color_count(kind: GridKind, k: int) -> int:
@@ -57,8 +60,13 @@ def tracking_modulus(kind: GridKind, k: int) -> int:
 
 @dataclass(frozen=True)
 class LinearScheme:
+    """(i + multiplier*j) mod modulus."""
+
     multiplier: int
     modulus: int
+
+    def color(self, i: int, j: int) -> int:
+        return (i + self.multiplier * j) % self.modulus
 
 
 @dataclass(frozen=True)
@@ -68,17 +76,40 @@ class BlockScheme:
     k: int
     mirrored: bool = False
 
+    def color(self, i: int, j: int) -> int:
+        k = self.k
+        if self.mirrored:
+            j = -j
+        strip = 3 * (k + 1) // 2
+        m = color_count(GridKind.TRIANGULAR, k)
+        return (i % strip + j * strip + (2 * j // (k + 1)) * ((k + 1) // 2)) % m
+
 
 @dataclass(frozen=True)
-class TableScheme:
-    rows: tuple[tuple[int, ...], ...]  # rows[j % period_j][i % period_i]
+class CosetScheme:
+    """Index of (i, j) among the cosets of the lattice spanned by (p,0), (s,q)."""
+
+    p: int
+    q: int
+    s: int
+
+    def color(self, i: int, j: int) -> int:
+        jr = j % self.q
+        ir = (i - ((j - jr) // self.q) * self.s) % self.p
+        return ir + self.p * jr
 
 
-Scheme = Union[LinearScheme, BlockScheme, TableScheme]
+Scheme = Union[LinearScheme, BlockScheme, CosetScheme]
 
 
 @dataclass(frozen=True)
 class ColoringPattern:
+    """A doubly periodic coloring and its period table.
+
+    The scheme only fills `rows[j][i]` for one period, 0 <= i < period_i
+    and 0 <= j < period_j; every color is read from that table.
+    """
+
     kind: GridKind
     k: int
     color_count: int
@@ -86,21 +117,19 @@ class ColoringPattern:
     period_i: int
     period_j: int
     label: str
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-
-def _block_value(k: int, i: int, j: int) -> int:
-    strip = 3 * (k + 1) // 2
-    m = color_count(GridKind.TRIANGULAR, k)
-    return (i % strip + j * strip + (2 * j // (k + 1)) * ((k + 1) // 2)) % m
+    def __post_init__(self):
+        color = self.scheme.color
+        rows = tuple(
+            tuple(color(i, j) for i in range(self.period_i))
+            for j in range(self.period_j)
+        )
+        object.__setattr__(self, "rows", rows)
 
 
 def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
-    scheme = pattern.scheme
-    if isinstance(scheme, LinearScheme):
-        return (i + scheme.multiplier * j) % scheme.modulus
-    if isinstance(scheme, BlockScheme):
-        return _block_value(scheme.k, i, -j if scheme.mirrored else j)
-    return scheme.rows[j % pattern.period_j][i % pattern.period_i]
+    return pattern.rows[j % pattern.period_j][i % pattern.period_i]
 
 
 def coord_update_receive(
@@ -122,13 +151,6 @@ def coord_update_receive(
 # Pattern construction
 
 
-def _coset_index(i: int, j: int, p: int, q: int, s: int) -> int:
-    """Index of (i, j) among the cosets of the lattice spanned by (p,0),(s,q)."""
-    jr = j % q
-    ir = (i - ((j - jr) // q) * s) % p
-    return ir + p * jr
-
-
 def _lattice_is_spread(p: int, q: int, s: int, k: int) -> bool:
     """No nonzero lattice vector a(p,0) + b(s,q) has triangular norm <= k."""
     for b in range(0, k // q + 1):
@@ -145,26 +167,6 @@ def _lattice_is_spread(p: int, q: int, s: int, k: int) -> bool:
     return True
 
 
-def _materialize_table(
-    kind: GridKind, k: int, p: int, q: int, s: int, label: str
-) -> ColoringPattern:
-    period_i = p
-    period_j = q * (p // math.gcd(s, p)) if s else q
-    rows = tuple(
-        tuple(_coset_index(i, j, p, q, s) for i in range(period_i))
-        for j in range(period_j)
-    )
-    return ColoringPattern(
-        kind=kind,
-        k=k,
-        color_count=color_count(kind, k),
-        scheme=TableScheme(rows=rows),
-        period_i=period_i,
-        period_j=period_j,
-        label=label,
-    )
-
-
 def _candidate_patterns(kind: GridKind, k: int):
     m = color_count(kind, k)
     if kind == GridKind.SQUARE:
@@ -175,11 +177,8 @@ def _candidate_patterns(kind: GridKind, k: int):
         return
     if kind == GridKind.KING:
         side = k + 1
-        rows = tuple(
-            tuple(i + side * j for i in range(side)) for j in range(side)
-        )
         yield ColoringPattern(
-            kind, k, m, TableScheme(rows), side, side, f"{side}x{side} blocks"
+            kind, k, m, CosetScheme(side, side, 0), side, side, f"{side}x{side} blocks"
         )
         return
     # Triangular: plain form, mirrored form, then lattice cosets.
@@ -202,8 +201,10 @@ def _candidate_patterns(kind: GridKind, k: int):
         p = m // q
         for s in range(p):
             if _lattice_is_spread(p, q, s, k):
-                yield _materialize_table(
-                    kind, k, p, q, s, f"coset table p={p} q={q} s={s}"
+                period_j = q * (p // math.gcd(s, p)) if s else q
+                yield ColoringPattern(
+                    kind, k, m, CosetScheme(p, q, s), p, period_j,
+                    f"coset table p={p} q={q} s={s}",
                 )
 
 
@@ -243,17 +244,7 @@ def pattern(kind: GridKind, k: int) -> ColoringPattern:
 
 
 def _colors_used(p: ColoringPattern) -> int:
-    return len(
-        {color_at(p, i, j) for i in range(p.period_i) for j in range(p.period_j)}
-    )
-
-
-def _window_array(p: ColoringPattern, wi: int, wj: int) -> np.ndarray:
-    out = np.empty((wi, wj), dtype=np.int32)
-    for x in range(wi):
-        for y in range(wj):
-            out[x, y] = color_at(p, x, y)
-    return out
+    return len({c for row in p.rows for c in row})
 
 
 def verify_coloring(
@@ -262,27 +253,30 @@ def verify_coloring(
     """Brute-force validity scan over one period window expanded by k.
 
     Returns None when no two distinct vertices at distance <= k share a
-    color, otherwise one offending pair and its color.  This is the
-    oracle every constructed pattern must pass.
+    color, otherwise one offending pair and its color: the first found
+    scanning offsets (di, dj) in lexicographic order, then cells (x, y)
+    in lexicographic order.  This is the oracle every constructed
+    pattern must pass.
     """
     k = p.k
     wi = p.period_i + 2 * k
     wj = p.period_j + 2 * k
-    table = _window_array(p, wi, wj)
+    # window[x][y] is the color of (x, y)
+    window = [[color_at(p, x, y) for y in range(wj)] for x in range(wi)]
     for di in range(0, k + 1):
         for dj in range(-k, k + 1):
             if di == 0 and dj <= 0:
                 continue
             if distance(p.kind, (0, 0), (di, dj)) > k:
                 continue
-            a = table[: wi - di, max(0, -dj):wj - max(0, dj)]
-            b = table[di:, max(0, dj):wj - max(0, -dj)]
-            hits = np.argwhere(a == b)
-            if hits.size:
-                x, y = (int(v) for v in hits[0])
-                c1 = (x, y + max(0, -dj))
-                c2 = (x + di, y + max(0, -dj) + dj)
-                return (c1, c2), int(table[c1])
+            lo, hi = max(0, -dj), wj - max(0, dj)
+            for x in range(wi - di):
+                a = window[x][lo:hi]
+                b = window[x + di][lo + dj:hi + dj]
+                if not any(map(eq, a, b)):
+                    continue
+                y = next(y for y, (c1, c2) in enumerate(zip(a, b)) if c1 == c2)
+                return ((x, lo + y), (x + di, lo + y + dj)), a[y]
     return None
 
 

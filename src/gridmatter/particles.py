@@ -8,10 +8,11 @@ The central predicate is S-contractibility (for S a subset of the
 particles): p is S-contractible when the extended neighborhood of p
 restricted to S induces a connected subgraph and p still has a free
 neighbor slot.  Removing such a particle from S keeps S connected and
-hole-free, which is what the election algorithm leans on.  The predicate
-has an equivalent port-local form, computable from which neighbor (and,
-on the square grid, corner) slots are in S; both forms are implemented
-and tested against each other exhaustively.  On the king grid the
+hole-free, which is what the election algorithm leans on.  Its port-local
+form is one table: `contractibility_table` applies the definition-level
+test to every slot mask, which says which neighbor (and, on the square
+grid, corner) slots are in S, and `is_s_contractible_local` packs its
+arguments into such a mask and looks it up.  On the king grid the
 election and the blob generator use the stricter `removal_table`, which
 also keeps the 4-adjacent background free of pockets.
 """
@@ -110,12 +111,8 @@ def occupied_ports(config: ParticleConfig, p: Coord) -> set[int]:
 
 
 def extended_neighborhood(kind: GridKind, at: Coord) -> set[Coord]:
-    """N_G(at), plus the four corners on the square grid."""
-    cells = set(neighbors(kind, at))
-    if kind == GridKind.SQUARE:
-        i, j = at
-        cells.update((i + di, j + dj) for di, dj in CORNER_DIRECTIONS)
-    return cells
+    """N_G(at), plus the four corners on the square grid: the slot cells."""
+    return {c for _, c in slot_cells(kind, at)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,84 +246,13 @@ def holes_and_border(config: ParticleConfig) -> tuple[HoleReport, set[Coord]]:
 # ---------------------------------------------------------------------------
 # S-contractibility
 
-# Which slots around a vertex are pairwise adjacent in the grid itself.
-# Triangular: consecutive ports only, a plain 6-cycle.  King: consecutive
-# ports, plus the chords between the orthogonal ports 0-2-4-6 (those
-# neighbor pairs are joined by a diagonal edge).  Square: the 8-cycle
-# alternating neighbor slots and corner slots; two neighbor slots are
-# never directly adjacent, they only connect through the corner between
-# them.
 
-
-def _slot_components(bits: tuple[bool, ...], edges: tuple[tuple[int, int], ...]) -> int:
-    present = [idx for idx, b in enumerate(bits) if b]
-    if not present:
-        return 0
-    seen = set()
-    comps = 0
-    adjacency: dict[int, list[int]] = {idx: [] for idx in present}
-    for x, y in edges:
-        if bits[x] and bits[y]:
-            adjacency[x].append(y)
-            adjacency[y].append(x)
-    for idx in present:
-        if idx in seen:
-            continue
-        comps += 1
-        stack = [idx]
-        seen.add(idx)
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return comps
-
-
-@lru_cache(maxsize=None)
-def _slot_edges(kind: GridKind) -> tuple[tuple[int, int], ...]:
-    if kind == GridKind.TRIANGULAR:
-        return tuple((a, (a + 1) % 6) for a in range(6))
-    if kind == GridKind.KING:
-        ring = [(a, (a + 1) % 8) for a in range(8)]
-        chords = [(0, 2), (2, 4), (4, 6), (6, 0)]
-        return tuple(ring + chords)
-    # Square: slots 0..7 = port 0, corner 0, port 1, corner 1, ...
-    return tuple((s, (s + 1) % 8) for s in range(8))
-
-
-def is_s_contractible_local(
-    kind: GridKind,
-    occupied_ports: Iterable[int],
-    corner_occupancy: Optional[tuple[bool, bool, bool, bool]] = None,
-) -> bool:
-    """Port-local contractibility decision.
-
-    `occupied_ports` are the ports whose neighbors are in S, and, on the
-    square grid, `corner_occupancy[a]` says whether the corner between
-    ports a and a+1 is in S.  Agrees with `is_s_contractible` on every
-    possible pattern (tested exhaustively).
-    """
-    d = degree(kind)
-    ports = set(occupied_ports)
-    if kind == GridKind.SQUARE:
-        if corner_occupancy is None:
-            raise ValueError("square grid needs corner occupancy")
-        if len(corner_occupancy) != 4:
-            raise ValueError("corner occupancy must have four entries")
-        bits = []
-        for a in range(4):
-            bits.append(a in ports)
-            bits.append(bool(corner_occupancy[a]))
-        slot_bits = tuple(bits)
-    else:
-        if corner_occupancy is not None:
-            raise ValueError("corner occupancy only applies to the square grid")
-        slot_bits = tuple(a in ports for a in range(d))
-    if len(ports) >= d:
+def _window_contractible(kind: GridKind, p: Coord, s_set) -> bool:
+    """Definition 1 at p: G[M(p) ∩ S] connected, and a free neighbor slot left."""
+    if all(c in s_set for c in neighbors(kind, p)):
         return False
-    return _slot_components(slot_bits, _slot_edges(kind)) <= 1
+    cells = {c for c in extended_neighborhood(kind, p) if c in s_set}
+    return not cells or _is_connected(kind, cells)
 
 
 def is_s_contractible(config: ParticleConfig, S: Iterable[Coord], p: Coord) -> bool:
@@ -334,14 +260,7 @@ def is_s_contractible(config: ParticleConfig, S: Iterable[Coord], p: Coord) -> b
     s_set = set(S)
     if p not in s_set:
         raise ValueError(f"{p} is not in S")
-    kind = config.kind
-    cells = {c for c in extended_neighborhood(kind, p) if c in s_set}
-    direct = sum(1 for c in neighbors(kind, p) if c in s_set)
-    if direct >= degree(kind):
-        return False
-    if not cells:
-        return True
-    return _is_connected(kind, cells)
+    return _window_contractible(config.kind, p, s_set)
 
 
 def slot_cells(kind: GridKind, p: Coord) -> list[tuple[int, Coord]]:
@@ -362,23 +281,47 @@ def slot_cells(kind: GridKind, p: Coord) -> list[tuple[int, Coord]]:
 
 @lru_cache(maxsize=None)
 def contractibility_table(kind: GridKind) -> tuple[bool, ...]:
-    """Decision table over slot bitmasks, for the scheduler's hot path.
+    """Definition 1 over every slot bitmask, for the election's hot path.
 
-    Index: bit a = port a in S, and on the square grid additionally
-    bit 4+a = corner a in S.
+    Entry `mask` is `is_s_contractible` at the origin for S the origin
+    plus the slot cells whose bits are set in `mask`.
     """
-    if kind == GridKind.SQUARE:
-        out = []
-        for mask in range(1 << 8):
-            ports = {a for a in range(4) if mask >> a & 1}
-            corners = tuple(bool(mask >> (4 + a) & 1) for a in range(4))
-            out.append(is_s_contractible_local(kind, ports, corners))
-        return tuple(out)
-    d = degree(kind)
+    slots = slot_cells(kind, (0, 0))
     return tuple(
-        is_s_contractible_local(kind, {a for a in range(d) if mask >> a & 1})
-        for mask in range(1 << d)
+        _window_contractible(kind, (0, 0), {c for bit, c in slots if mask & bit})
+        for mask in range(1 << len(slots))
     )
+
+
+def is_s_contractible_local(
+    kind: GridKind,
+    occupied_ports: Iterable[int],
+    corner_occupancy: Optional[tuple[bool, bool, bool, bool]] = None,
+) -> bool:
+    """Port-local contractibility decision.
+
+    `occupied_ports` are the ports whose neighbors are in S, and, on the
+    square grid, `corner_occupancy[a]` says whether the corner between
+    ports a and a+1 is in S.  A lookup of that slot mask in
+    `contractibility_table`.
+    """
+    d = degree(kind)
+    mask = 0
+    for a in occupied_ports:
+        if not 0 <= a < d:
+            raise ValueError(f"port {a} outside [0,{d})")
+        mask |= 1 << a
+    if kind == GridKind.SQUARE:
+        if corner_occupancy is None:
+            raise ValueError("square grid needs corner occupancy")
+        if len(corner_occupancy) != 4:
+            raise ValueError("corner occupancy must have four entries")
+        for a, on in enumerate(corner_occupancy):
+            if on:
+                mask |= 1 << (4 + a)
+    elif corner_occupancy is not None:
+        raise ValueError("corner occupancy only applies to the square grid")
+    return contractibility_table(kind)[mask]
 
 
 def _king_background_runs(mask: int) -> int:
@@ -423,19 +366,6 @@ def removal_table(kind: GridKind) -> tuple[bool, ...]:
     return tuple(
         ok and _king_background_runs(mask) == 1 for mask, ok in enumerate(table)
     )
-
-
-def is_articulation(kind: GridKind, S: Iterable[Coord], p: Coord) -> bool:
-    """True when removing p disconnects the subgraph induced by S."""
-    s_set = frozenset(S)
-    if p not in s_set:
-        raise ValueError(f"{p} is not in S")
-    if not _is_connected(kind, s_set):
-        raise ValueError("S is not connected")
-    rest = s_set - {p}
-    if not rest:
-        return False
-    return not _is_connected(kind, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from . import algorithms
 from .grid import Coord, GridKind, directions, distance
 from .particles import ParticleConfig
 
@@ -174,8 +175,6 @@ def run(
     `k` only matters for the identifier phase.  `record=False` keeps the
     totals but leaves `trace.log` empty, for bulk runs.
     """
-    from . import algorithms  # runtime import; algorithms drives this engine too
-
     particles = config.particles()
     n = len(particles)
     cap = max_activations if max_activations is not None else 64 * n * max(2 * n, 8)

@@ -126,13 +126,6 @@ def king_simple(s, p) -> bool:
     return touching == 1
 
 
-def articulation(kind, cells, p) -> bool:
-    rest = set(cells) - {p}
-    if not rest:
-        return False
-    return not connected(kind, rest)
-
-
 def holes(kind, cells):
     """Finite unoccupied components, by flood fill from a frame one cell
     beyond the bounding box."""

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from gridmatter.algorithms import (
+    ELECT,
     PIPELINE_FULL,
     STATUS_CANDIDATE,
     STATUS_LEADER,
     STATUS_NON_CANDIDATE,
+    ElectProtocol,
     classify_boundary,
     id_histogram,
     initial_states,
     leader_of,
-    residual_candidates,
-    step_elect,
     tree_children,
     tree_edges,
     tree_height,
@@ -89,7 +89,8 @@ def test_single_particle_elects_itself():
     cfg = make_config("king", [(7, -3)])
     states = initial_states(cfg)
     assert states[(7, -3)].status == STATUS_CANDIDATE
-    assert step_elect(cfg, states, (7, -3)).status == STATUS_LEADER
+    new, _, _ = ElectProtocol(cfg).step((7, -3), states[(7, -3)], [], states)
+    assert new.status == STATUS_LEADER
 
 
 def test_election_walkthrough_round_by_round():
@@ -139,6 +140,14 @@ def test_election_transitions_preserve_candidate_invariants(kind):
             assert oracles.connected(cfg.kind, cset)
             assert not oracles.holes(cfg.kind, cset)
     assert cset == {leader_of(res.states)}
+
+
+def residual_candidates(config):
+    """Particles the election never eliminated, under round robin."""
+    res = run(config, (ELECT,), Schedule(), record=False)
+    return frozenset(
+        p for p, s in res.states.items() if s.status != STATUS_NON_CANDIDATE
+    )
 
 
 def test_residual_candidates_on_hole_free_systems():

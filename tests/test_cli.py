@@ -413,6 +413,32 @@ def test_run_svg_emission(rect_cfg, tmp_path):
         assert tags.count("text") == ntext, name
 
 
+@pytest.mark.parametrize(
+    "kind,shape,schedule",
+    [
+        ("square", ["blob", "40"], "random"),
+        ("triangular", ["blob", "40"], "roundrobin"),
+        ("king", ["blob", "40"], "random"),
+        ("square", ["ring", "4", "2"], "random"),
+    ],
+)
+def test_run_svg_files_match_phase_prefix_runs(kind, shape, schedule, tmp_path):
+    # each file is what the states left by its phase, run on their own
+    # up to that phase, draw; the last case stalls
+    path = tmp_path / "in.cfg"
+    cli("generate", *shape, "--grid", kind, "--seed", "3", "--k", "2", "-o", str(path))
+    proc = cli("run", str(path), "--schedule", schedule, "--svg", str(tmp_path / "svg"))
+    assert proc.returncode == (3 if shape[0] == "ring" else 0)
+    doc = parse_config_text(path.read_text())
+    sched = Schedule(climod.SCHEDULE_FLAGS[schedule], seed=doc.seed)
+    for idx, name in enumerate(PIPELINE_FULL):
+        states = run(doc.config, PIPELINE_FULL[: idx + 1], sched, k=2).states
+        want = climod.render_svg(
+            doc.config, states, show_ids=name == "ids", show_tree=True
+        )
+        assert (tmp_path / "svg" / f"{name}.svg").read_text() == want, name
+
+
 # ---------------------------------------------------------------------------
 # verify and bound
 
@@ -564,3 +590,13 @@ def test_parse_requires_grid_before_particles():
         parse_config_text("grid square\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_config_text("grid square\nwibble 3\n")
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = (
+        "import sys, gridmatter, gridmatter.cli; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0

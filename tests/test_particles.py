@@ -12,7 +12,6 @@ from gridmatter.particles import (
     contractibility_table,
     extended_neighborhood,
     find_holes,
-    is_articulation,
     is_s_contractible,
     is_s_contractible_local,
     make_config,
@@ -208,22 +207,6 @@ def test_king_removal_table_matches_simple_point_definition():
         assert not table[bits], bits
     for kind in (GridKind.SQUARE, GridKind.TRIANGULAR):
         assert removal_table(kind) == contractibility_table(kind)
-
-
-def test_is_articulation_examples():
-    line = [(0, 0), (1, 0), (2, 0)]
-    assert is_articulation("square", line, (1, 0))
-    assert not is_articulation("square", line, (0, 0))
-    two = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert not any(is_articulation("square", two, p) for p in two)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_is_articulation_matches_oracle(kind):
-    for seed in range(8):
-        cells = grown_blob(kind, 14, 200 + seed)
-        for p in cells:
-            assert is_articulation(kind, cells, p) == oracles.articulation(kind, cells, p)
 
 
 # r, mtree, and the derived round bound, pinned against the exhaustive

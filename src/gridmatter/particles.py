@@ -247,7 +247,7 @@ def holes_and_border(config: ParticleConfig) -> tuple[HoleReport, set[Coord]]:
 # S-contractibility
 
 
-def _window_contractible(kind: GridKind, p: Coord, s_set) -> bool:
+def _window_contractible(kind: GridKind, p: Coord, s_set: set[Coord]) -> bool:
     """Definition 1 at p: G[M(p) ∩ S] connected, and a free neighbor slot left."""
     if all(c in s_set for c in neighbors(kind, p)):
         return False

@@ -190,6 +190,21 @@ def test_local_contractibility_matches_definition_square():
         assert contractibility_table(GridKind.SQUARE)[pbits | cbits << 4] == want
 
 
+def test_local_contractibility_rejects_malformed_slots():
+    corners = (False, False, False, False)
+    for bad in ({4}, {-1}):
+        with pytest.raises(ValueError, match="port"):
+            is_s_contractible_local(GridKind.SQUARE, bad, corners)
+    with pytest.raises(ValueError, match="port"):
+        is_s_contractible_local(GridKind.TRIANGULAR, {6})
+    with pytest.raises(ValueError, match="needs corner"):
+        is_s_contractible_local(GridKind.SQUARE, {0})
+    with pytest.raises(ValueError, match="four entries"):
+        is_s_contractible_local(GridKind.SQUARE, {0}, (True,))
+    with pytest.raises(ValueError, match="only applies"):
+        is_s_contractible_local(GridKind.KING, {0}, corners)
+
+
 def test_king_removal_table_matches_simple_point_definition():
     # the king election retires only (8,4)-simple candidates: Definition 1,
     # plus no pocket of the 4-adjacent background opened by the removal

@@ -41,13 +41,13 @@ from .grid import (
 )
 from .particles import (
     ParticleConfig,
+    _bound_from,
     find_holes,
     holes_and_border,
     make_config,
     mtree,
     radius,
     removal_table,
-    round_bound,
     slot_cells,
     validate_config,
 )
@@ -618,11 +618,9 @@ def bound(config_path, limit):
     if doc.config.n > limit:
         click.echo(f"error: config larger than tree search limit {limit}", err=True)
         sys.exit(EXIT_INPUT)
-    lines = [
-        ("r", radius(doc.config)),
-        ("mtree", mtree(doc.config, limit=limit)),
-        ("bound", round_bound(doc.config, limit=limit)),
-    ]
+    r = radius(doc.config)
+    mt = mtree(doc.config, limit=limit)
+    lines = [("r", r), ("mtree", mt), ("bound", _bound_from(doc.config.kind, r, mt))]
     click.echo(format_report(lines), nl=False)
 
 

@@ -474,9 +474,13 @@ def _tree_height(members: list[int], adj: list[int], mask: int) -> int:
     return best
 
 
+def _bound_from(kind: GridKind, r: int, mt: int) -> int:
+    """b_G from r(P) and mtree(P)."""
+    if kind == GridKind.SQUARE:
+        return 2 * (r + mt) + 2
+    return r + mt + 1
+
+
 def round_bound(config: ParticleConfig, limit: int = 18) -> int:
     """b_G: upper bound on election rounds for hole-free configurations."""
-    base = radius(config) + mtree(config, limit=limit)
-    if config.kind == GridKind.SQUARE:
-        return 2 * base + 2
-    return base + 1
+    return _bound_from(config.kind, radius(config), mtree(config, limit=limit))

@@ -9,11 +9,8 @@ the comparisons.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
-
-import networkx as nx
 
 # Direction tables restated from the neighborhood definitions: four
 # axis steps, the triangular extras (i+1,j-1)/(i-1,j+1), the king grid
@@ -57,22 +54,23 @@ def bfs_distance(kind, a, b, limit=64):
     raise AssertionError(f"no path within {limit} steps")
 
 
-def graph_of(kind, cells) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(cells)
-    cells = set(cells)
-    for p in cells:
-        for q in neighborhood(kind, p):
-            if q in cells:
-                g.add_edge(p, q)
-    return g
-
-
 def connected(kind, cells) -> bool:
+    """BFS over the induced subgraph; False on an empty set."""
     cells = set(cells)
     if not cells:
         return False
-    return nx.is_connected(graph_of(kind, cells))
+    dirs = DIRS[kind_name(kind)]
+    start = next(iter(cells))
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        i, j = frontier.popleft()
+        for di, dj in dirs:
+            v = (i + di, j + dj)
+            if v in cells and v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(cells)
 
 
 def def1_contractible(kind, s, p) -> bool:
@@ -199,21 +197,6 @@ def radius_to_border(kind, cells) -> int:
     for u in cells:
         dist = intra_distances(kind, cells, u)
         worst = max(dist[v] for v in targets)
-        if best is None or worst < best:
-            best = worst
-    return best
-
-
-def tree_height_rooted(g: nx.Graph) -> int:
-    """h(T): min over roots of the max distance to a leaf; 0 for a
-    single vertex."""
-    if g.number_of_nodes() == 1:
-        return 0
-    leaves = [v for v in g.nodes if g.degree(v) == 1]
-    best = None
-    for root in g.nodes:
-        lengths = nx.single_source_shortest_path_length(g, root)
-        worst = max(lengths[v] for v in leaves)
         if best is None or worst < best:
             best = worst
     return best

@@ -53,7 +53,11 @@ from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
     POLICY_ROUND_ROBIN,
+    AlgorithmReport,
+    RunResult,
+    RunTrace,
     Schedule,
+    TraceRound,
     run,
 )
 
@@ -67,18 +71,7 @@ def _verdict(num, ok):
 
 
 def _connected(kind, cells):
-    if not cells:
-        return True
-    start = next(iter(cells))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in oracles.neighborhood(kind, u):
-            if w in cells and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(cells)
+    return not cells or oracles.connected(kind, cells)
 
 
 def _creates_pocket(kind, cells, freed, lo, hi):
@@ -88,13 +81,15 @@ def _creates_pocket(kind, cells, freed, lo, hi):
     freed cell, so any new finite pocket must contain it; escaping the
     bounding frame identifies the exterior.
     """
+    dirs = oracles.DIRS[oracles.kind_name(kind)]
     seen = {freed}
     queue = deque([freed])
     while queue:
-        u = queue.popleft()
-        if not (lo[0] <= u[0] <= hi[0] and lo[1] <= u[1] <= hi[1]):
+        i, j = queue.popleft()
+        if not (lo[0] <= i <= hi[0] and lo[1] <= j <= hi[1]):
             return False
-        for w in oracles.neighborhood(kind, u):
+        for di, dj in dirs:
+            w = (i + di, j + dj)
             if w not in cells and w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -110,6 +105,23 @@ def _three_schedules(cells, index):
     )
 
 
+COUNTERS = (
+    "runs",
+    "gen_bad",
+    "stalls",
+    "shape_bad",
+    "elected",
+    "legal_bad",
+    "conn_bad",
+    "hole_bad",
+    "exist_bad",
+    "rounds2n_bad",
+    "msg_bad",
+    "phase_round_bad",
+    "verify_bad",
+)
+
+
 def _audit_run(kind, cfg, cells, res, stats):
     """Stream one pipeline result into the shared counters."""
     n = len(cells)
@@ -123,20 +135,22 @@ def _audit_run(kind, cfg, cells, res, stats):
     C = set(cells)
     lo = (min(c[0] for c in cells) - 1, min(c[1] for c in cells) - 1)
     hi = (max(c[0] for c in cells) + 1, max(c[1] for c in cells) + 1)
-    for ev in res.trace.events:
-        if ev.algorithm != "elect" or ev.transition == "-":
+    for r in res.trace.log:
+        if r.algorithm != "elect":
             continue
-        if ev.transition == "C->N":
-            if not oracles.def1_contractible(kind, C, ev.coord):
-                stats["legal_bad"] += 1
-            C.discard(ev.coord)
-            if not _connected(kind, C):
-                stats["conn_bad"] += 1
-            if _creates_pocket(kind, C, ev.coord, lo, hi):
-                stats["hole_bad"] += 1
-        elif ev.transition == "C->L":
-            if C != {ev.coord}:
-                stats["legal_bad"] += 1
+        for pos, (transition, _) in r.changes.items():
+            p = r.order[pos]
+            if transition == "C->N":
+                if not oracles.def1_contractible(kind, C, p):
+                    stats["legal_bad"] += 1
+                C.discard(p)
+                if not _connected(kind, C):
+                    stats["conn_bad"] += 1
+                if _creates_pocket(kind, C, p, lo, hi):
+                    stats["hole_bad"] += 1
+            elif transition == "C->L":
+                if C != {p}:
+                    stats["legal_bad"] += 1
     if len(C) > 1:
         if any(oracles.def1_contractible(kind, C, p) for p in C):
             stats["legal_bad"] += 1  # quiesced while progress was possible
@@ -171,24 +185,7 @@ def batch():
     """Criterion 1's shared run set: per kind, 200 seeded hole-free blobs
     with n in [1, 200], each under three schedule policies, full
     pipeline, traces recorded and audited on the fly."""
-    stats = {
-        kind: dict(
-            runs=0,
-            gen_bad=0,
-            stalls=0,
-            shape_bad=0,
-            elected=0,
-            legal_bad=0,
-            conn_bad=0,
-            hole_bad=0,
-            exist_bad=0,
-            rounds2n_bad=0,
-            msg_bad=0,
-            phase_round_bad=0,
-            verify_bad=0,
-        )
-        for kind in KINDS
-    }
+    stats = {kind: dict.fromkeys(COUNTERS, 0) for kind in KINDS}
     t0 = time.time()
     for kind in KINDS:
         rng = random.Random(1000 + len(kind.value))
@@ -207,6 +204,57 @@ def batch():
     elapsed = time.time() - t0
     print(f"\n[criterion 1-3 batch: 1800 runs audited in {elapsed:.1f}s]")
     return stats
+
+
+def _planted_run(kind, cells, retirements):
+    """An elect-only result whose log makes one transition per round.
+
+    The states stay initial, so the run counts as a stall and the audit
+    stops after the replay and the round check."""
+    cfg = make_config(kind, cells)
+    order = tuple(sorted(cells))
+    log = [
+        TraceRound(r + 1, "elect", order, {order.index(p): (transition, 0)})
+        for r, (p, transition) in enumerate(retirements)
+    ]
+    trace = RunTrace(kind=cfg.kind, coords=order, log=log, rounds=len(log) + 1)
+    report = AlgorithmReport(
+        "elect", rounds_active=len(log), rounds_total=len(log) + 1, messages=0,
+        sends=0,
+    )
+    return cfg, RunResult(states=initial_states(cfg), trace=trace, reports=[report])
+
+
+def test_audit_flags_planted_faults():
+    line = [(0, 0), (1, 0), (2, 0)]
+    square = [(i, j) for i in range(3) for j in range(3)]
+    peel = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1)]
+    cases = [
+        # retiring the middle of a line splits it; the ends then go legally
+        (
+            line,
+            [((1, 0), "C->N"), ((0, 0), "C->N"), ((2, 0), "C->L")],
+            dict(legal_bad=1, conn_bad=1),
+        ),
+        # retiring the centre of a 3x3 square rings a hole; no ring cell
+        # is removable, so cutting the ring at (1,0) is illegal too, and
+        # the path that is left peels legally from (0,0)
+        (
+            square,
+            [((1, 1), "C->N"), ((1, 0), "C->N")]
+            + [(p, "C->N") for p in peel]
+            + [((2, 0), "C->L")],
+            dict(legal_bad=2, hole_bad=1),
+        ),
+        # a leader while another candidate remains
+        (line[:2], [((0, 0), "C->L"), ((1, 0), "C->N")], dict(legal_bad=1)),
+    ]
+    for cells, retirements, flagged in cases:
+        cfg, res = _planted_run(GridKind.SQUARE, cells, retirements)
+        stats = dict.fromkeys(COUNTERS, 0)
+        _audit_run(GridKind.SQUARE, cfg, cells, res, stats)
+        want = dict.fromkeys(COUNTERS, 0) | dict(stalls=1) | flagged
+        assert stats == want, (retirements, stats)
 
 
 def test_criterion_1_leader_uniqueness(batch):

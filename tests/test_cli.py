@@ -600,3 +600,15 @@ def test_importing_the_cli_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env)
     assert proc.returncode == 0
+
+
+def test_importing_the_oracles_loads_no_networkx():
+    tests_dir = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path.insert(0, {tests_dir!r}); "
+        "import oracles, gridmatter; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0

@@ -37,8 +37,8 @@ from gridmatter.cli import (
     random_offsets,
     serialize_config,
 )
-from gridmatter.grid import GridKind
-from gridmatter.particles import find_holes, make_config
+from gridmatter.grid import GridKind, degree, directions
+from gridmatter.particles import find_holes, make_config, removal_table, slot_cells
 from gridmatter.scheduler import Schedule, run
 
 import oracles
@@ -200,6 +200,68 @@ def test_generate_shape_config_text_golden(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_TEXT[kind]
 
 
+def _reference_gen_blob(kind, n, rng, allow_holes):
+    """gen_blob's draws made by rng.choice and rng.randrange, and its peel
+    list rebuilt by a full rescan before every draw."""
+    dirs = directions(kind)
+    table = removal_table(kind)
+    window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
+
+    def removable(p):
+        mask = 0
+        for bit, di, dj in window:
+            if (p[0] + di, p[1] + dj) in occ:
+                mask |= bit
+        return table[mask]
+
+    grow_simple = kind == GridKind.KING and not allow_holes
+    occ = {(0, 0)}
+    cells = [(0, 0)]
+    while len(occ) < n:
+        i, j = rng.choice(cells)
+        di, dj = rng.choice(dirs)
+        q = (i + di, j + dj)
+        if q in occ or (grow_simple and not removable(q)):
+            continue
+        occ.add(q)
+        cells.append(q)
+    if allow_holes or grow_simple:
+        return occ
+    for hole in find_holes(make_config(kind, occ)).holes:
+        occ.update(hole)
+    while len(occ) > n:
+        peelable = sorted(p for p in occ if removable(p))
+        occ.discard(peelable[rng.randrange(len(peelable))])
+    return occ
+
+
+@pytest.mark.parametrize("allow_holes", [False, True])
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_generator_draws_are_choice_and_randrange_draws(kind, allow_holes):
+    # gen_blob and random_offsets inline random.choice's and
+    # random.randrange's draws; a Python release that changes choice,
+    # randrange or _randbelow breaks this test first
+    d = degree(kind)
+    for n in (1, 2, 3, 30, 200, 1600):
+        for seed in (0, 1, 7, 2**31 - 1):
+            ours, ref = random.Random(seed), random.Random(seed)
+            cells = gen_blob(kind, n, ours, allow_holes=allow_holes)
+            assert cells == _reference_gen_blob(kind, n, ref, allow_holes)
+            assert ours.getstate() == ref.getstate()
+            offsets = random_offsets(kind, cells, ours)
+            assert offsets == {p: ref.randrange(d) for p in sorted(cells)}
+            assert list(offsets) == sorted(cells)
+            assert ours.getstate() == ref.getstate()
+
+
+def test_gen_blob_peel_with_nothing_removable_raises(monkeypatch):
+    # randrange(0) raises; the inlined peel draw must raise too, not spin
+    monkeypatch.setattr(climod, "removal_table", lambda kind: [False] * 256)
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        gen_blob(GridKind.SQUARE, 1600, rng)
+
+
 # The blob generator's postconditions, checked against the oracles.  On
 # the king grid a hole is a pocket of the 4-adjacent background, so its
 # blobs are checked for square-grid holes.
@@ -236,6 +298,20 @@ def test_config_text_roundtrips(kind, n, seed, k):
     assert again.config.occupied == config.occupied
     assert again.config.frame_offsets == config.frame_offsets
     assert (again.k, again.seed) == (k, seed)
+
+
+@pytest.mark.parametrize("allow_holes", [False, True])
+@pytest.mark.parametrize("kind", [k.value for k in GridKind])
+def test_parse_of_serialized_config_equals_the_generated_config(kind, allow_holes):
+    shapes = (["blob", "1"], ["blob", "250"], ["rect", "4x3"], ["ring", "5", "1"],
+              ["line", "6"])
+    for shape in shapes:
+        config = generate_shape(GridKind(kind), shape, seed=11, allow_holes=allow_holes)
+        doc = ConfigDoc(config=config, k=3, seed=11)
+        again = parse_config_text(serialize_config(doc))
+        assert again == doc
+        assert again.config == config
+        assert dict(again.config.frame_offsets) == dict(config.frame_offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gridmatter.grid import GridKind, degree, neighbors
 from gridmatter.particles import (
     CORNER_DIRECTIONS,
+    ParticleConfig,
     border,
     contractibility_table,
     extended_neighborhood,
@@ -72,6 +73,33 @@ def test_validate_config_reports_problems():
     stray = make_config("square", [(0, 0)], {(3, 3): 1})
     assert any("unoccupied" in v or "stray" in v or "not occupied" in v
                for v in validate_config(stray))
+
+
+def test_validate_config_lists_bad_offsets_in_cell_order():
+    # offsets given out of cell order, (0, 2) without one (read as 0), and
+    # one for an unoccupied cell, which is listed as such, not range-checked
+    square = ParticleConfig(
+        kind=GridKind.SQUARE,
+        occupied=frozenset([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (5, 5)]),
+        frame_offsets={(5, 5): 2, (2, 0): 4, (1, 0): 3, (0, 1): -1, (0, 0): 9,
+                       (9, 9): 7},
+    )
+    assert validate_config(square) == [
+        "frame offsets given for unoccupied vertices: [(9, 9)]",
+        "frame offset 9 at (0, 0) outside [0,4)",
+        "frame offset -1 at (0, 1) outside [0,4)",
+        "frame offset 4 at (2, 0) outside [0,4)",
+        "occupied set is not connected",
+    ]
+    triangular = ParticleConfig(
+        kind=GridKind.TRIANGULAR,
+        occupied=frozenset([(-1, 0), (0, 0), (1, 0)]),
+        frame_offsets={(1, 0): 5, (0, 0): 6, (-1, 0): 8},
+    )
+    assert validate_config(triangular) == [
+        "frame offset 8 at (-1, 0) outside [0,6)",
+        "frame offset 6 at (0, 0) outside [0,6)",
+    ]
 
 
 def test_occupied_ports_examples():

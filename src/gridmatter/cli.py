@@ -78,6 +78,7 @@ class ConfigDoc:
 
 def parse_config_text(text: str) -> ConfigDoc:
     kind: Optional[GridKind] = None
+    d = 0
     k = 1
     seed = 0
     offsets = {}
@@ -92,6 +93,7 @@ def parse_config_text(text: str) -> ConfigDoc:
                 if len(args) != 1:
                     raise ValueError("expected one grid kind")
                 kind = GridKind(args[0])
+                d = degree(kind)
             elif word == "k":
                 (k,) = args
                 k = int(k)
@@ -110,7 +112,7 @@ def parse_config_text(text: str) -> ConfigDoc:
                     i, j, w = int(args[0]), int(args[1]), int(args[2])
                 else:
                     raise ValueError("expected: particle i j [offset]")
-                if not 0 <= w < degree(kind):
+                if not 0 <= w < d:
                     raise ValueError(f"offset {w} out of range for {kind.value}")
                 if (i, j) in offsets:
                     raise ValueError(f"duplicate particle {i} {j}")
@@ -123,7 +125,9 @@ def parse_config_text(text: str) -> ConfigDoc:
         raise ValueError("missing grid line")
     if not offsets:
         raise ValueError("no particle lines")
-    return ConfigDoc(config=make_config(kind, offsets, offsets), k=k, seed=seed)
+    # the keys are int pairs and the offsets are range-checked above
+    config = ParticleConfig(kind=kind, occupied=frozenset(offsets), frame_offsets=offsets)
+    return ConfigDoc(config=config, k=k, seed=seed)
 
 
 def serialize_config(doc: ConfigDoc) -> str:
@@ -183,6 +187,11 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     (Kong & Rosenfeld, "Digital topology", CVGIP 1989), and the peel
     keeps the sorted list up to date by re-testing just those cells: the
     list, and so every draw, is the one a full rescan would give.
+
+    Every draw is `rng.choice`'s or `rng.randrange`'s, inlined to save a
+    method call per draw: on CPython (3.10-3.12) both draw below m with
+    `getrandbits(m.bit_length())`, redrawn while the result is >= m.
+    `test_generator_draws_are_choice_and_randrange_draws` pins this.
     """
     if n < 1:
         raise ValueError("blob size must be positive")
@@ -200,26 +209,45 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         return table[mask]
 
     grow_simple = kind == GridKind.KING and not allow_holes
-    # choice(seq) and seq[randrange(len(seq))] make the same draw
-    choice = rng.choice
+    getrandbits = rng.getrandbits
+    ndirs = len(dirs)
+    dir_bits = ndirs.bit_length()
     occ = {(0, 0)}
     cells = [(0, 0)]
-    while len(occ) < n:
-        i, j = choice(cells)
-        di, dj = choice(dirs)
+    size, size_bits = 1, 1
+    while size < n:
+        # rng.choice(cells), then rng.choice(dirs)
+        r = getrandbits(size_bits)
+        while r >= size:
+            r = getrandbits(size_bits)
+        i, j = cells[r]
+        r = getrandbits(dir_bits)
+        while r >= ndirs:
+            r = getrandbits(dir_bits)
+        di, dj = dirs[r]
         q = (i + di, j + dj)
         if q in occ or (grow_simple and not removable(q)):
             continue
         occ.add(q)
         cells.append(q)
+        size += 1
+        size_bits = size.bit_length()
     if allow_holes or grow_simple:
         return occ
-    report = find_holes(make_config(kind, occ))
+    report = find_holes(ParticleConfig(kind=kind, occupied=frozenset(occ)))
     for hole in report.holes:
         occ.update(hole)
     peelable = sorted(p for p in occ if removable(p))
     while len(occ) > n:
-        i, j = peelable.pop(rng.randrange(len(peelable)))
+        # rng.randrange(len(peelable)), which raises on an empty range
+        m = len(peelable)
+        if not m:
+            raise ValueError("blob peel found no removable cell")
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        i, j = peelable.pop(r)
         occ.discard((i, j))
         # the cells whose window holds (i, j)
         for _, di, dj in window:
@@ -237,8 +265,18 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
 
 
 def random_offsets(kind: GridKind, cells, rng: random.Random) -> dict:
+    """`rng.randrange(degree)` per cell in sorted order, inlined as in
+    `gen_blob`."""
     d = degree(GridKind(kind))
-    return {p: rng.randrange(d) for p in sorted(cells)}
+    bits = d.bit_length()
+    getrandbits = rng.getrandbits
+    offsets = {}
+    for p in sorted(cells):
+        w = getrandbits(bits)
+        while w >= d:
+            w = getrandbits(bits)
+        offsets[p] = w
+    return offsets
 
 
 def generate_shape(
@@ -268,7 +306,10 @@ def generate_shape(
         cells = gen_blob(kind, int(args[0]), rng, allow_holes=allow_holes)
     else:
         raise ValueError(f"unknown shape {shape!r}")
-    return make_config(kind, cells, random_offsets(kind, cells, rng))
+    # the generators make int pairs, and random_offsets gives each one
+    kind = GridKind(kind)
+    offsets = random_offsets(kind, cells, rng)
+    return ParticleConfig(kind=kind, occupied=frozenset(cells), frame_offsets=offsets)
 
 
 # ---------------------------------------------------------------------------

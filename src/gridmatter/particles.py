@@ -74,13 +74,15 @@ def validate_config(config: ParticleConfig) -> list[str]:
     occ = config.occupied
     if not occ:
         return ["configuration has no particles"]
-    extra = set(config.frame_offsets) - set(occ)
+    extra = config.frame_offsets.keys() - occ
     if extra:
         problems.append(f"frame offsets given for unoccupied vertices: {sorted(extra)}")
+    # a particle without an offset reads 0, which is in range, so only
+    # the listed offsets are checked, and only the offenders sorted
     d = degree(config.kind)
-    for p in config.particles():
-        w = config.offset(p)
-        if not 0 <= w < d:
+    bad = [(p, w) for p, w in config.frame_offsets.items() if not 0 <= w < d]
+    for p, w in sorted(bad):
+        if p in occ:
             problems.append(f"frame offset {w} at {p} outside [0,{d})")
     if not _is_connected(config.kind, occ):
         problems.append("occupied set is not connected")

@@ -16,6 +16,7 @@ import random
 import time
 from collections import deque
 from dataclasses import replace
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -123,7 +124,12 @@ COUNTERS = (
 
 
 def _audit_run(kind, cfg, cells, res, stats):
-    """Stream one pipeline result into the shared counters."""
+    """Stream one pipeline result into the shared counters.
+
+    On the king grid a retiree must be (8,4)-simple, and the freed cell is
+    flooded under 4-adjacency: the 8-connected candidate set is read
+    against a 4-connected background, whose pockets stall the election.
+    """
     n = len(cells)
     states = res.states
     leader = leader_of(states)
@@ -132,6 +138,10 @@ def _audit_run(kind, cfg, cells, res, stats):
     # replay the election trace against definition-level checks; the
     # retiree's own contractibility check also witnesses existence for
     # the whole interval before it, since C only changes at transitions
+    if kind == GridKind.KING:
+        legal, pocket_kind = oracles.king_simple, GridKind.SQUARE
+    else:
+        legal, pocket_kind = partial(oracles.def1_contractible, kind), kind
     C = set(cells)
     lo = (min(c[0] for c in cells) - 1, min(c[1] for c in cells) - 1)
     hi = (max(c[0] for c in cells) + 1, max(c[1] for c in cells) + 1)
@@ -141,18 +151,18 @@ def _audit_run(kind, cfg, cells, res, stats):
         for pos, (transition, _) in r.changes.items():
             p = r.order[pos]
             if transition == "C->N":
-                if not oracles.def1_contractible(kind, C, p):
+                if not legal(C, p):
                     stats["legal_bad"] += 1
                 C.discard(p)
                 if not _connected(kind, C):
                     stats["conn_bad"] += 1
-                if _creates_pocket(kind, C, p, lo, hi):
+                if _creates_pocket(pocket_kind, C, p, lo, hi):
                     stats["hole_bad"] += 1
             elif transition == "C->L":
                 if C != {p}:
                     stats["legal_bad"] += 1
     if len(C) > 1:
-        if any(oracles.def1_contractible(kind, C, p) for p in C):
+        if any(legal(C, p) for p in C):
             stats["legal_bad"] += 1  # quiesced while progress was possible
         else:
             stats["exist_bad"] += 1  # stuck with no contractible candidate
@@ -249,12 +259,29 @@ def test_audit_flags_planted_faults():
         # a leader while another candidate remains
         (line[:2], [((0, 0), "C->L"), ((1, 0), "C->N")], dict(legal_bad=1)),
     ]
-    for cells, retirements, flagged in cases:
-        cfg, res = _planted_run(GridKind.SQUARE, cells, retirements)
+    plus = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
+    king_cases = [
+        # the centre of a plus passes Definition 1 on the king grid, since
+        # its four arms touch diagonally, but it leaves the diamond that
+        # rings a pocket of the 4-adjacent background; no arm of the
+        # diamond can go after it
+        (plus, [((1, 1), "C->N")], dict(legal_bad=1, hole_bad=1, exist_bad=1)),
+        # the plus peeled arm by arm is legal
+        (
+            plus,
+            [((0, 1), "C->N"), ((1, 0), "C->N"), ((1, 2), "C->N"),
+             ((2, 1), "C->N"), ((1, 1), "C->L")],
+            dict(),
+        ),
+    ]
+    for kind, (cells, retirements, flagged) in [
+        (GridKind.SQUARE, case) for case in cases
+    ] + [(GridKind.KING, case) for case in king_cases]:
+        cfg, res = _planted_run(kind, cells, retirements)
         stats = dict.fromkeys(COUNTERS, 0)
-        _audit_run(GridKind.SQUARE, cfg, cells, res, stats)
+        _audit_run(kind, cfg, cells, res, stats)
         want = dict.fromkeys(COUNTERS, 0) | dict(stalls=1) | flagged
-        assert stats == want, (retirements, stats)
+        assert stats == want, (kind, retirements, stats)
 
 
 def test_criterion_1_leader_uniqueness(batch):

@@ -285,6 +285,7 @@ def generate_shape(
     """tokens: shape name plus its parameters, e.g. ["rect", "3x3"]."""
     if not tokens:
         raise ValueError("missing shape")
+    kind = GridKind(kind)
     shape, args = tokens[0], tokens[1:]
     rng = random.Random(seed)
     if shape == "rect":
@@ -306,8 +307,7 @@ def generate_shape(
         cells = gen_blob(kind, int(args[0]), rng, allow_holes=allow_holes)
     else:
         raise ValueError(f"unknown shape {shape!r}")
-    # the generators make int pairs, and random_offsets gives each one
-    kind = GridKind(kind)
+    # the generators make int pairs, and random_offsets gives each an offset
     offsets = random_offsets(kind, cells, rng)
     return ParticleConfig(kind=kind, occupied=frozenset(cells), frame_offsets=offsets)
 

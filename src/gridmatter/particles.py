@@ -80,10 +80,11 @@ def validate_config(config: ParticleConfig) -> list[str]:
     # a particle without an offset reads 0, which is in range, so only
     # the listed offsets are checked, and only the offenders sorted
     d = degree(config.kind)
-    bad = [(p, w) for p, w in config.frame_offsets.items() if not 0 <= w < d]
+    bad = [
+        (p, w) for p, w in config.frame_offsets.items() if not 0 <= w < d and p in occ
+    ]
     for p, w in sorted(bad):
-        if p in occ:
-            problems.append(f"frame offset {w} at {p} outside [0,{d})")
+        problems.append(f"frame offset {w} at {p} outside [0,{d})")
     if not _is_connected(config.kind, occ):
         problems.append("occupied set is not connected")
     return problems

@@ -274,14 +274,13 @@ def test_audit_flags_planted_faults():
             dict(),
         ),
     ]
-    for kind, (cells, retirements, flagged) in [
-        (GridKind.SQUARE, case) for case in cases
-    ] + [(GridKind.KING, case) for case in king_cases]:
-        cfg, res = _planted_run(kind, cells, retirements)
-        stats = dict.fromkeys(COUNTERS, 0)
-        _audit_run(kind, cfg, cells, res, stats)
-        want = dict.fromkeys(COUNTERS, 0) | dict(stalls=1) | flagged
-        assert stats == want, (kind, retirements, stats)
+    for kind, group in ((GridKind.SQUARE, cases), (GridKind.KING, king_cases)):
+        for cells, retirements, flagged in group:
+            cfg, res = _planted_run(kind, cells, retirements)
+            stats = dict.fromkeys(COUNTERS, 0)
+            _audit_run(kind, cfg, cells, res, stats)
+            want = dict.fromkeys(COUNTERS, 0) | dict(stalls=1) | flagged
+            assert stats == want, (kind, retirements, stats)
 
 
 def test_criterion_1_leader_uniqueness(batch):

@@ -18,9 +18,13 @@ inputs give bit-identical traces.
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Optional
 
 from . import algorithms
 from .grid import Coord, GridKind, directions, distance
@@ -76,10 +80,61 @@ class TraceRound:
     changes: dict[int, tuple[str, int]]
 
 
+_NO_CHANGE = ("-", 0)
+
+
+class TraceEvents(Sequence):
+    """A read-only view of a log's activations, one `TraceEvent` each.
+
+    Events are built only as they are read, so `len()` allocates none
+    and iteration holds one at a time; an index or slice bisects the
+    cumulative round lengths.  Compares equal to any sequence with equal
+    elements, so an unrecorded run's events equal `[]`.
+    """
+
+    __slots__ = ("_log", "_ends")
+
+    def __init__(self, log: Sequence[TraceRound]):
+        self._log = log
+        self._ends: Optional[list[int]] = None  # 0, then cumulative round lengths
+
+    def __len__(self) -> int:
+        return sum(len(r.order) for r in self._log)
+
+    def __iter__(self):
+        for r in self._log:
+            get = r.changes.get
+            for pos, p in enumerate(r.order):
+                yield TraceEvent(r.round, p, r.algorithm, *get(pos, _NO_CHANGE))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if self._ends is None:
+            self._ends = [0, *accumulate(len(r.order) for r in self._log)]
+        ends = self._ends
+        i = operator.index(index)
+        if i < 0:
+            i += ends[-1]
+        if not 0 <= i < ends[-1]:
+            raise IndexError("trace event index out of range")
+        at = bisect_right(ends, i) - 1
+        r, pos = self._log[at], i - ends[at]
+        return TraceEvent(
+            r.round, r.order[pos], r.algorithm, *r.changes.get(pos, _NO_CHANGE)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class RunTrace:
     """A run's totals and, when recorded, its rounds; `events` and
-    `to_text()` expand the rounds on each call."""
+    `to_text()` expand the rounds on each call, in memory proportional
+    to what they return."""
 
     kind: GridKind
     coords: tuple[Coord, ...]
@@ -90,21 +145,21 @@ class RunTrace:
     sends: int = 0  # raw emissions
 
     @property
-    def events(self) -> list[TraceEvent]:
-        return [
-            TraceEvent(r.round, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
-            for r in self.log
-            for pos, p in enumerate(r.order)
-        ]
+    def events(self) -> TraceEvents:
+        return TraceEvents(self.log)
 
     def to_text(self) -> str:
-        lines = []
+        # one string per round, so only one round's lines are live at once
+        rounds = []
         for r in self.log:
             head, tail = f"{r.round}\t", f"\t{r.algorithm}\t"
+            get = r.changes.get
+            lines = []
             for pos, (i, j) in enumerate(r.order):
-                transition, messages = r.changes.get(pos, ("-", 0))
-                lines.append(f"{head}{i},{j}{tail}{transition}\t{messages}")
-        return "\n".join(lines) + ("\n" if lines else "")
+                transition, messages = get(pos, _NO_CHANGE)
+                lines.append(f"{head}{i},{j}{tail}{transition}\t{messages}\n")
+            rounds.append("".join(lines))
+        return "".join(rounds)
 
 
 @dataclass(frozen=True)
@@ -194,10 +249,13 @@ def run(
         # A step reads only its own state, its inbox and the cells at its
         # algorithm's read offsets, and on an empty inbox only a state in
         # the can-act predicate acts.  So only the awake particles are
-        # stepped: those that can act or have mail, plus those whose read
-        # cells changed since their last silent no-op on an empty inbox,
-        # which puts a particle to sleep.  A sleeping particle's
-        # activation is a no-op without the call.
+        # stepped: those with mail, and those in a can-act state that
+        # have not done a silent no-op on an empty inbox since one of
+        # their read cells last changed.  A step that leaves its
+        # particle outside can-act, or a silent no-op on an empty inbox,
+        # puts it to sleep; a delivery wakes the receiver, and a change
+        # wakes the can-act particles that read the changed cell.  A
+        # sleeping particle's activation is a no-op without the call.
         reads = algorithms.read_offsets(name, config.kind)
         can_act = algorithms.CAN_ACT[name]
         awake = {p for p in particles if inboxes[p] or can_act(states[p])}
@@ -230,9 +288,10 @@ def run(
                     i, j = p
                     for di, dj in reads:
                         q = (i + di, j + dj)
-                        if q in states:
+                        qs = states.get(q)
+                        if qs is not None and can_act(qs):
                             awake.add(q)
-                elif not (inbox or outbox):
+                if not (changed or inbox or outbox) or not can_act(new_state):
                     awake.discard(p)
                 phase_msgs += accepted
                 for local_port, payload in outbox:

@@ -1,8 +1,11 @@
 import hashlib
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
@@ -12,16 +15,19 @@ from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
     POLICY_ROUND_ROBIN,
+    AlgorithmReport,
+    Message,
     RunTrace,
     Schedule,
     SimulationError,
+    TraceEvent,
     TraceRound,
     _order_for_round,
     check_exclusion,
     count_rounds,
     run,
 )
-from gridmatter.grid import GridKind
+from gridmatter.grid import GridKind, directions
 
 TWO = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -121,6 +127,7 @@ def test_record_false_keeps_counters_only():
     cfg = make_config("square", TWO)
     res = run(cfg, ("elect",), Schedule(), record=False)
     assert res.trace.events == []
+    assert len(res.trace.events) == 0 and [] == res.trace.events
     assert res.trace.rounds >= 2
     assert leader_of(res.states) in TWO
 
@@ -320,7 +327,7 @@ for _name in ("__iter__", "__len__", "keys", "values", "items", "copy"):
     setattr(ReadLog, _name, _whole(_name))
 
 
-def _audited_step(name, kind, step, dormant):
+def _audited_step(name, kind, step, dormant, idle):
     offsets = algorithms.read_offsets(name, kind)
     can_act = algorithms.CAN_ACT[name]
 
@@ -342,6 +349,8 @@ def _audited_step(name, kind, step, dormant):
         # the engine asked for
         for q in list(dict.keys(states)):
             checked(q, dict.__getitem__(states, q), [], states)
+        if not inbox and not can_act(state):
+            idle[name] += 1  # a call the engine could have skipped
         return checked(p, state, inbox, states)
 
     return audited
@@ -354,12 +363,13 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
     make_protocol = algorithms.make_protocol
     initial_states = algorithms.initial_states
     dormant = dict.fromkeys(PIPELINE_FULL, 0)
+    idle = dict.fromkeys(PIPELINE_FULL, 0)
 
     def audited_protocol(name, config, k=1):
         proto = make_protocol(name, config, k)
         # only step and describe, as a wrapping benchmark tracer exposes
         return SimpleNamespace(
-            step=_audited_step(name, config.kind, proto.step, dormant),
+            step=_audited_step(name, config.kind, proto.step, dormant, idle),
             describe=proto.describe,
         )
 
@@ -379,6 +389,8 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
         assert res.trace.to_text() == plain.trace.to_text()
         assert _states_text(res.states) == _states_text(plain.states)
     assert all(dormant.values()), dormant
+    # the engine never steps a particle that cannot act and has no mail
+    assert not any(idle.values()), idle
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1600])
@@ -396,3 +408,149 @@ def test_random_order_is_random_shuffle_of_sorted_particles(n):
             assert _order_for_round(schedule, particles, round_index, ours) == expected
             assert ours.getstate() == ref.getstate()
     assert particles == before
+
+
+# ---------------------------------------------------------------------------
+# A reference engine that calls every activation's step, with no awake
+# set: the engine's skipped calls must be exactly the no-op ones.
+
+
+def _reference_run(config, pipeline, schedule, k):
+    """(to_text, reports, states) of `pipeline`, stepping every activation."""
+    particles = config.particles()
+    rng = random.Random(schedule.seed)
+    states = algorithms.initial_states(config)
+    inboxes = {p: [] for p in particles}
+    dirs = directions(config.kind)
+    d = len(dirs)
+    lines, reports, rounds = [], [], 0
+    for name in pipeline:
+        proto = algorithms.make_protocol(name, config, k)
+        phase_round = active = messages = sends = 0
+        while True:
+            order = _order_for_round(schedule, particles, phase_round, rng)
+            phase_round += 1
+            rounds += 1
+            changed_any, round_sends = False, 0
+            for p in order:
+                inbox, inboxes[p] = inboxes[p], []
+                state = states[p]
+                new, outbox, accepted = proto.step(p, state, inbox, states)
+                states[p] = new
+                changed = new != state
+                changed_any |= changed
+                messages += accepted
+                for port, payload in outbox:
+                    canon = (port + new.frame_offset) % d
+                    q = (p[0] + dirs[canon][0], p[1] + dirs[canon][1])
+                    via = (canon + d // 2 - states[q].frame_offset) % d
+                    inboxes[q].append(Message(via_port=via, payload=payload))
+                round_sends += len(outbox)
+                transition = proto.describe(state, new) if changed else "-"
+                lines.append(
+                    f"{rounds}\t{p[0]},{p[1]}\t{name}\t{transition}\t{len(outbox)}\n"
+                )
+            sends += round_sends
+            active += changed_any
+            if not (changed_any or round_sends):
+                break
+        reports.append(AlgorithmReport(name, active, phase_round, messages, sends))
+    return "".join(lines), reports, states
+
+
+def _explicit_orders(particles, rng):
+    # each round is a shuffle of every particle plus a few repeated ones
+    orders = []
+    for _ in range(rng.randint(1, 12)):
+        order = list(particles)
+        rng.shuffle(order)
+        for _ in range(rng.randint(0, len(order))):
+            order.insert(rng.randint(0, len(order)), rng.choice(particles))
+        orders.append(tuple(order))
+    return tuple(orders)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(list(GridKind)),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**31 - 1),
+    k=st.sampled_from([1, 2]),
+    policy=st.sampled_from([POLICY_ROUND_ROBIN, POLICY_RANDOM, POLICY_EXPLICIT]),
+)
+def test_run_equals_a_reference_engine_that_steps_every_activation(
+    kind, n, seed, k, policy
+):
+    rng = random.Random(seed)
+    cells = gen_blob(kind, n, rng)
+    cfg = make_config(kind, cells, random_offsets(kind, cells, rng))
+    orders = _explicit_orders(sorted(cells), rng) if policy == POLICY_EXPLICIT else None
+    sched = Schedule(policy, seed=seed, orders=orders)
+    text, reports, states = _reference_run(cfg, PIPELINE_FULL, sched, k)
+    for _ in range(2):
+        res = run(cfg, PIPELINE_FULL, sched, k=k)
+        assert res.trace.to_text() == text
+        assert res.reports == reports
+        assert res.states == states
+
+
+# ---------------------------------------------------------------------------
+# `events` and `to_text()` expand the log in memory proportional to what
+# they return.
+
+
+def _events_list(trace):
+    return [
+        TraceEvent(r.round, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
+        for r in trace.log
+        for pos, p in enumerate(r.order)
+    ]
+
+
+def test_events_view_equals_the_log_expanded_as_a_list():
+    for _, _, _, res in _golden_runs(GridKind.TRIANGULAR, "blob30"):
+        t = res.trace
+        expected = _events_list(t)
+        events = t.events
+        assert len(events) == t.activations == len(expected)
+        assert list(events) == expected
+        assert events == expected and expected == events
+        assert events != expected[:-1] and events != expected[1:] + expected[:1]
+        n = len(expected)
+        assert [events[i] for i in range(-n, n)] == expected + expected
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[i]
+        for s in (slice(None), slice(3, 17), slice(None, None, -1), slice(-5, None),
+                  slice(10, 2), slice(1, -1, 7), slice(-n - 5, n + 5, 3)):
+            assert events[s] == expected[s]
+
+
+@pytest.fixture(scope="module")
+def square30_trace():
+    cells = gen_rect(30, 30)
+    offsets = random_offsets(GridKind.SQUARE, cells, random.Random(1))
+    cfg = make_config("square", cells, offsets)
+    return run(cfg, PIPELINE_FULL, Schedule(POLICY_RANDOM, seed=1), k=2).trace
+
+
+def _traced_peak(fn):
+    """fn's result and the peak bytes it held, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_text_peaks_under_three_times_its_output(square30_trace):
+    text, peak = _traced_peak(square30_trace.to_text)
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_len_of_events_allocates_no_events(square30_trace):
+    count, peak = _traced_peak(lambda: len(square30_trace.events))
+    assert count == square30_trace.activations
+    assert peak < 64 * 1024, peak

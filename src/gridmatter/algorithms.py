@@ -149,12 +149,12 @@ class TreeProtocol:
     """
 
     name = TREE
+    payload = (TREE,)
 
-    def __init__(self, config: ParticleConfig, payload=("tree",)):
+    def __init__(self, config: ParticleConfig):
         self.kind = config.kind
         self.dirs = directions(config.kind)
         self.d = len(self.dirs)
-        self.payload = payload
 
     def _local_occupied(self, p, state, states):
         i, j = p
@@ -176,20 +176,11 @@ class TreeProtocol:
         return (q[0] + di, q[1] + dj) != p
 
     def step(self, p, state, inbox, states):
-        if state.status == STATUS_LEADER:
-            if not state.tree_joined:
+        if not state.tree_joined:
+            if state.status == STATUS_LEADER:
                 children = frozenset(self._local_occupied(p, state, states))
                 outbox = [(a, self.payload) for a in sorted(children)]
                 return _evolve(state, tree_joined=True, child_ports=children), outbox, 0
-            children = frozenset(
-                a
-                for a in state.child_ports
-                if not self._child_gone(p, a, state, states)
-            )
-            if children != state.child_ports:
-                return _evolve(state, child_ports=children), (), 0
-            return state, (), 0
-        if not state.tree_joined:
             if not inbox:
                 return state, (), 0
             receipts = frozenset(m.via_port for m in inbox)
@@ -207,6 +198,8 @@ class TreeProtocol:
                 receipt_ports=receipts,
             )
             return new, outbox, 1
+        # joined, the root too: no particle sends to the leader, since
+        # `_child_gone` treats it as gone, so its receipts stay empty
         receipts = state.receipt_ports
         if inbox:
             receipts = receipts | frozenset(m.via_port for m in inbox)

@@ -142,11 +142,14 @@ def _bounding_box(occ: Iterable[Coord]) -> tuple[int, int, int, int]:
 def _exterior_and_pockets(
     config: ParticleConfig,
 ) -> tuple[set[Coord], list[set[Coord]]]:
-    """Flood the unoccupied cells of the expanded bounding box.
+    """Flood the unoccupied cells of the bounding box grown by one.
 
-    Returns the cells reachable from the box frame (a certificate of the
+    Returns the component of the box's ring (a certificate of the
     infinite exterior component) and the remaining unoccupied components,
-    which are exactly the holes.
+    which are exactly the holes.  The scan is row-major, so it floods the
+    ring first, since the box's least cell lies on it and the ring is free
+    and 4-connected, and it meets each hole first at its least cell, so
+    the holes come out sorted by their least cells.
     """
     occ = config.occupied
     dirs = directions(config.kind)
@@ -156,57 +159,32 @@ def _exterior_and_pockets(
     min_j -= 1
     max_j += 1
 
-    frame = [
-        (i, j)
-        for i in range(min_i, max_i + 1)
-        for j in (min_j, max_j)
-    ] + [
-        (i, j)
-        for i in (min_i, max_i)
-        for j in range(min_j + 1, max_j)
-    ]
-    exterior: set[Coord] = set()
-    queue = deque()
-    for c in frame:
-        if c not in occ and c not in exterior:
-            exterior.add(c)
-            queue.append(c)
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in dirs:
-            vi = i + di
-            vj = j + dj
-            v = (vi, vj)
-            if (
-                min_i <= vi <= max_i
-                and min_j <= vj <= max_j
-                and v not in occ
-                and v not in exterior
-            ):
-                exterior.add(v)
-                queue.append(v)
-
-    pockets: list[set[Coord]] = []
+    parts: list[set[Coord]] = []
     seen: set[Coord] = set()
-    for i in range(min_i + 1, max_i):
-        for j in range(min_j + 1, max_j):
+    for i in range(min_i, max_i + 1):
+        for j in range(min_j, max_j + 1):
             c = (i, j)
-            if c in occ or c in exterior or c in seen:
+            if c in occ or c in seen:
                 continue
-            pocket = {c}
+            part = {c}
             queue = deque([c])
-            seen.add(c)
             while queue:
                 ui, uj = queue.popleft()
                 for di, dj in dirs:
-                    v = (ui + di, uj + dj)
-                    if v not in occ and v not in exterior and v not in seen:
-                        seen.add(v)
-                        pocket.add(v)
+                    vi = ui + di
+                    vj = uj + dj
+                    v = (vi, vj)
+                    if (
+                        min_i <= vi <= max_i
+                        and min_j <= vj <= max_j
+                        and v not in occ
+                        and v not in part
+                    ):
+                        part.add(v)
                         queue.append(v)
-            pockets.append(pocket)
-    pockets.sort(key=lambda s: min(s))
-    return exterior, pockets
+            seen |= part
+            parts.append(part)
+    return parts[0], parts[1:]
 
 
 def _holes(pockets: list[set[Coord]]) -> HoleReport:

@@ -1,0 +1,259 @@
+"""Config text and shape generators.
+
+Config files are line-based: `grid <kind>`, `k <int>`, `seed <int>`,
+`particle <i> <j> <offset>`, with `#` starting a comment.  The grid
+line must precede particle lines so offsets can be range-checked.
+"""
+
+from __future__ import annotations
+
+import random
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Optional
+
+from .grid import Coord, GridKind, degree, directions
+from .particles import ParticleConfig, find_holes, removal_table, slot_cells
+
+
+@dataclass(frozen=True)
+class ConfigDoc:
+    config: ParticleConfig
+    k: int = 1
+    seed: int = 0
+
+
+def parse_config_text(text: str) -> ConfigDoc:
+    kind: Optional[GridKind] = None
+    d = 0
+    k = 1
+    seed = 0
+    offsets = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        word, args = fields[0], fields[1:]
+        try:
+            if word == "grid":
+                if len(args) != 1:
+                    raise ValueError("expected one grid kind")
+                kind = GridKind(args[0])
+                d = degree(kind)
+            elif word == "k":
+                (k,) = args
+                k = int(k)
+                if k < 1:
+                    raise ValueError("k must be >= 1")
+            elif word == "seed":
+                (seed,) = args
+                seed = int(seed)
+            elif word == "particle":
+                if kind is None:
+                    raise ValueError("grid line must come before particle lines")
+                if len(args) == 2:
+                    i, j = int(args[0]), int(args[1])
+                    w = 0
+                elif len(args) == 3:
+                    i, j, w = int(args[0]), int(args[1]), int(args[2])
+                else:
+                    raise ValueError("expected: particle i j [offset]")
+                if not 0 <= w < d:
+                    raise ValueError(f"offset {w} out of range for {kind.value}")
+                if (i, j) in offsets:
+                    raise ValueError(f"duplicate particle {i} {j}")
+                offsets[(i, j)] = w
+            else:
+                raise ValueError(f"unknown directive {word!r}")
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if kind is None:
+        raise ValueError("missing grid line")
+    if not offsets:
+        raise ValueError("no particle lines")
+    # the keys are int pairs and the offsets are range-checked above
+    config = ParticleConfig(kind=kind, occupied=frozenset(offsets), frame_offsets=offsets)
+    return ConfigDoc(config=config, k=k, seed=seed)
+
+
+def serialize_config(doc: ConfigDoc) -> str:
+    lines = [
+        f"grid {doc.config.kind.value}",
+        f"k {doc.k}",
+        f"seed {doc.seed}",
+    ]
+    for p in doc.config.particles():
+        lines.append(f"particle {p[0]} {p[1]} {doc.config.offset(p)}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Shape generators
+
+
+def gen_rect(w: int, h: int) -> set:
+    if w < 1 or h < 1:
+        raise ValueError("rect sides must be positive")
+    return {(i, j) for i in range(w) for j in range(h)}
+
+
+def gen_line(n: int) -> set:
+    if n < 1:
+        raise ValueError("line length must be positive")
+    return {(i, 0) for i in range(n)}
+
+
+def gen_ring(outer: int, inner: int) -> set:
+    if inner >= outer:
+        raise ValueError("ring inner size must be smaller than outer")
+    if inner < 0:
+        raise ValueError("ring inner size must be non-negative")
+    lo = (outer - inner) // 2
+    carved = {(i, j) for i in range(lo, lo + inner) for j in range(lo, lo + inner)}
+    return {(i, j) for i in range(outer) for j in range(outer)} - carved
+
+
+def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> set:
+    """Random connected growth of n cells.
+
+    Without --allow-holes the result is hole-free.  On the square and
+    triangular grids pockets are filled and removable cells are then
+    peeled back to the requested size, one drawn at random from the
+    sorted list of removable cells per step.  On the king grid a cell is
+    added only when it could leave again, so the set stays free of
+    pockets of the 4-adjacent background as it grows, which is what the
+    king election needs to elect.
+
+    A cell is removable when it can leave the set (or, when free, join
+    it) without changing the set's topology: the set stays connected and
+    gains no hole, and on the king grid no pocket of the 4-adjacent
+    background either.  That is a lookup of the cell's slot mask, the
+    occupancy of its 3x3 window, in `removal_table`.  So removing a cell
+    changes the removability only of the cells whose window holds it
+    (Kong & Rosenfeld, "Digital topology", CVGIP 1989), and the peel
+    keeps the sorted list up to date by re-testing just those cells: the
+    list, and so every draw, is the one a full rescan would give.
+
+    Every draw is `rng.choice`'s or `rng.randrange`'s, inlined to save a
+    method call per draw: on CPython (3.10-3.12) both draw below m with
+    `getrandbits(m.bit_length())`, redrawn while the result is >= m.
+    `test_generator_draws_are_choice_and_randrange_draws` pins this.
+    """
+    if n < 1:
+        raise ValueError("blob size must be positive")
+    kind = GridKind(kind)
+    dirs = directions(kind)
+    table = removal_table(kind)
+    window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
+
+    def removable(p: Coord) -> bool:
+        i, j = p
+        mask = 0
+        for bit, di, dj in window:
+            if (i + di, j + dj) in occ:
+                mask |= bit
+        return table[mask]
+
+    grow_simple = kind == GridKind.KING and not allow_holes
+    getrandbits = rng.getrandbits
+    ndirs = len(dirs)
+    dir_bits = ndirs.bit_length()
+    occ = {(0, 0)}
+    cells = [(0, 0)]
+    size, size_bits = 1, 1
+    while size < n:
+        # rng.choice(cells), then rng.choice(dirs)
+        r = getrandbits(size_bits)
+        while r >= size:
+            r = getrandbits(size_bits)
+        i, j = cells[r]
+        r = getrandbits(dir_bits)
+        while r >= ndirs:
+            r = getrandbits(dir_bits)
+        di, dj = dirs[r]
+        q = (i + di, j + dj)
+        if q in occ or (grow_simple and not removable(q)):
+            continue
+        occ.add(q)
+        cells.append(q)
+        size += 1
+        size_bits = size.bit_length()
+    if allow_holes or grow_simple:
+        return occ
+    report = find_holes(ParticleConfig(kind=kind, occupied=frozenset(occ)))
+    for hole in report.holes:
+        occ.update(hole)
+    peelable = sorted(p for p in occ if removable(p))
+    while len(occ) > n:
+        # rng.randrange(len(peelable)), which raises on an empty range
+        m = len(peelable)
+        if not m:
+            raise ValueError("blob peel found no removable cell")
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        i, j = peelable.pop(r)
+        occ.discard((i, j))
+        # the cells whose window holds (i, j)
+        for _, di, dj in window:
+            q = (i - di, j - dj)
+            if q not in occ:
+                continue
+            at = bisect_left(peelable, q)
+            listed = at < len(peelable) and peelable[at] == q
+            if removable(q) != listed:
+                if listed:
+                    del peelable[at]
+                else:
+                    peelable.insert(at, q)
+    return occ
+
+
+def random_offsets(kind: GridKind, cells, rng: random.Random) -> dict:
+    """`rng.randrange(degree)` per cell in sorted order, inlined as in
+    `gen_blob`."""
+    d = degree(GridKind(kind))
+    bits = d.bit_length()
+    getrandbits = rng.getrandbits
+    offsets = {}
+    for p in sorted(cells):
+        w = getrandbits(bits)
+        while w >= d:
+            w = getrandbits(bits)
+        offsets[p] = w
+    return offsets
+
+
+def generate_shape(
+    kind: GridKind, tokens: list, seed: int, allow_holes: bool = False
+) -> ParticleConfig:
+    """tokens: shape name plus its parameters, e.g. ["rect", "3x3"]."""
+    if not tokens:
+        raise ValueError("missing shape")
+    kind = GridKind(kind)
+    shape, args = tokens[0], tokens[1:]
+    rng = random.Random(seed)
+    if shape == "rect":
+        if len(args) != 1 or "x" not in args[0]:
+            raise ValueError("rect takes WxH, e.g. rect 3x3")
+        w, h = args[0].split("x", 1)
+        cells = gen_rect(int(w), int(h))
+    elif shape == "line":
+        if len(args) != 1:
+            raise ValueError("line takes a length")
+        cells = gen_line(int(args[0]))
+    elif shape == "ring":
+        if len(args) != 2:
+            raise ValueError("ring takes outer and inner sizes")
+        cells = gen_ring(int(args[0]), int(args[1]))
+    elif shape == "blob":
+        if len(args) != 1:
+            raise ValueError("blob takes a size")
+        cells = gen_blob(kind, int(args[0]), rng, allow_holes=allow_holes)
+    else:
+        raise ValueError(f"unknown shape {shape!r}")
+    # the generators make int pairs, and random_offsets gives each an offset
+    offsets = random_offsets(kind, cells, rng)
+    return ParticleConfig(kind=kind, occupied=frozenset(cells), frame_offsets=offsets)

@@ -1,0 +1,106 @@
+"""Checks on a finished run: the post-pipeline invariants and the label
+of a stalled election."""
+
+from __future__ import annotations
+
+from . import algorithms
+from .coloring import color_count, tracking_modulus
+from .grid import GridKind, directions, distance, opposite_port
+from .particles import ParticleConfig, find_holes, make_config
+
+
+def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
+    """Post-pipeline invariants; returns violation strings."""
+    violations = []
+    kind = config.kind
+    leaders = [p for p, s in states.items() if s.status == algorithms.STATUS_LEADER]
+    if len(leaders) != 1:
+        violations.append(f"leaders={len(leaders)}")
+        return violations
+    leader = leaders[0]
+    stragglers = [
+        p
+        for p, s in states.items()
+        if p != leader and s.status != algorithms.STATUS_NON_CANDIDATE
+    ]
+    if stragglers:
+        violations.append(f"non-retired={len(stragglers)}")
+
+    # tree shape and reciprocity, from each particle's parent cell and
+    # the cell behind each of its child ports
+    dirs = directions(kind)
+    d = len(dirs)
+
+    def cell(p, s, port):
+        di, dj = dirs[(port + s.frame_offset) % d]
+        return (p[0] + di, p[1] + dj)
+
+    parent = {
+        p: cell(p, s, s.parent_port)
+        for p, s in states.items()
+        if s.parent_port is not None
+    }
+    child_port = {
+        p: {cell(p, s, a): a for a in s.child_ports} for p, s in states.items()
+    }
+    if len(parent) != config.n - 1 or leader in parent:
+        violations.append("tree-parent-count")
+    try:
+        algorithms.tree_height(kind, states)
+    except ValueError as exc:
+        violations.append(f"tree-span: {exc}")
+    for p, q in parent.items():
+        if q not in config.occupied:
+            violations.append(f"tree-parent-off-system: {p}")
+        elif p not in child_port[q]:
+            violations.append(f"tree-reciprocity: {p}<->{q}")
+
+    # frame agreement: equal offsets, and labels across every tree edge
+    # are half-turn images of each other
+    want = states[leader].frame_offset
+    for p, s in states.items():
+        if s.frame_offset != want:
+            violations.append(f"frame-offset: {p}")
+    for p, q in parent.items():
+        if q in child_port and child_port[q].get(p) != opposite_port(
+            kind, states[p].parent_port
+        ):
+            violations.append(f"port-reciprocity: {p}<->{q}")
+
+    # identifier soundness
+    m = tracking_modulus(kind, k)
+    limit = color_count(kind, k)
+    ids = {}
+    for p, s in states.items():
+        if s.local_id is None or s.coord_i is None:
+            violations.append(f"unassigned: {p}")
+            continue
+        ids[p] = s.local_id
+        if not 0 <= s.local_id < limit:
+            violations.append(f"id-range: {p}")
+        if s.coord_i != (p[0] - leader[0]) % m or s.coord_j != (p[1] - leader[1]) % m:
+            violations.append(f"coords: {p}")
+    # a pair within distance k is within k on each axis; offsets taken in
+    # lexicographic order list each p's partners q > p in sorted order
+    box = [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)]
+    for p in sorted(ids):
+        for di, dj in box:
+            q = (p[0] + di, p[1] + dj)
+            if q > p and ids.get(q) == ids[p] and distance(kind, p, q) <= k:
+                violations.append(f"id-collision: {p} {q}")
+    return violations
+
+
+def stall_label(config: ParticleConfig) -> str:
+    """The report's label for a stalled election.
+
+    On the king grid a config with no hole can still enclose a pocket of
+    the 4-adjacent background, around which the election stalls as well.
+    """
+    if find_holes(config).count:
+        return "stalled-by-holes"
+    if config.kind == GridKind.KING and find_holes(
+        make_config(GridKind.SQUARE, config.occupied)
+    ).count:
+        return "stalled-by-4-pockets"
+    return "stalled"

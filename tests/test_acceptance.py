@@ -32,7 +32,6 @@ from gridmatter.algorithms import (
     tree_height,
     update_id_after_move,
 )
-from gridmatter.cli import gen_blob, random_offsets, serialize_config, verify_run
 from gridmatter.coloring import (
     ColoringPattern,
     LinearScheme,
@@ -61,6 +60,8 @@ from gridmatter.scheduler import (
     TraceRound,
     run,
 )
+from gridmatter.shapes import gen_blob, random_offsets, serialize_config
+from gridmatter.verify import verify_run
 
 import oracles
 

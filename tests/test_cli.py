@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmatter import cli as climod
+from gridmatter import shapes
 from gridmatter.algorithms import (
     PIPELINE_FULL,
     STATUS_LEADER,
@@ -28,7 +29,10 @@ from gridmatter.algorithms import (
     leader_of,
     tree_parent,
 )
-from gridmatter.cli import (
+from gridmatter.grid import GridKind, degree, directions
+from gridmatter.particles import find_holes, make_config, removal_table, slot_cells
+from gridmatter.scheduler import Schedule, run
+from gridmatter.shapes import (
     ConfigDoc,
     gen_blob,
     gen_rect,
@@ -37,9 +41,6 @@ from gridmatter.cli import (
     random_offsets,
     serialize_config,
 )
-from gridmatter.grid import GridKind, degree, directions
-from gridmatter.particles import find_holes, make_config, removal_table, slot_cells
-from gridmatter.scheduler import Schedule, run
 
 import oracles
 
@@ -257,7 +258,7 @@ def test_generator_draws_are_choice_and_randrange_draws(kind, allow_holes):
 def test_gen_blob_peel_with_nothing_removable_raises(monkeypatch):
     # randrange(0) raises; the inlined peel draw must raise too, not spin.
     # Seed 0 grows holes at N=1600, so the fill leaves cells to peel.
-    monkeypatch.setattr(climod, "removal_table", lambda kind: [False] * 256)
+    monkeypatch.setattr(shapes, "removal_table", lambda kind: [False] * 256)
     rng = random.Random(0)
     with pytest.raises(ValueError):
         gen_blob(GridKind.SQUARE, 1600, rng)
@@ -607,6 +608,17 @@ def test_input_errors_exit_4(args, needle, tmp_path):
     assert needle in proc.stderr
 
 
+def test_unwritable_output_paths_exit_4(rect_cfg, tmp_path):
+    proc = cli("generate", "rect", "3x3", "-o", str(tmp_path / "missing" / "x.cfg"))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and "No such file" in proc.stderr
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    proc = cli("run", str(rect_cfg), "--svg", str(plain / "svgs"))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: ") and "Not a directory" in proc.stderr
+
+
 def test_run_k_out_of_range_exits_4(rect_cfg):
     proc = cli("run", str(rect_cfg), "--k", "0")
     assert proc.returncode == 4
@@ -676,6 +688,18 @@ def test_importing_the_cli_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env)
     assert proc.returncode == 0
+
+
+def test_only_the_cli_imports_click():
+    # a None entry in sys.modules makes `import click` raise ImportError
+    code = (
+        "import sys; sys.modules['click'] = None; "
+        "import gridmatter, gridmatter.shapes, gridmatter.verify"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_oracles_loads_no_networkx():

@@ -23,6 +23,7 @@ from gridmatter.particles import (
     round_bound,
     validate_config,
 )
+from gridmatter.shapes import gen_blob
 
 import oracles
 
@@ -144,10 +145,16 @@ def test_open_pocket_is_not_a_hole():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_find_holes_matches_oracle_on_blobs(kind):
-    for seed in range(12):
-        cells = grown_blob(kind, 18 + seed, seed)
-        got = sorted(find_holes(make_config(kind, cells)).holes, key=min)
+    # the holes come in the oracle's order, sorted by their least cells
+    blobs = [grown_blob(kind, 18 + seed, seed) for seed in range(12)]
+    blobs += [gen_blob(kind, 300, random.Random(seed), allow_holes=True)
+              for seed in range(8)]
+    counts = []
+    for cells in blobs:
+        got = list(find_holes(make_config(kind, cells)).holes)
         assert got == oracles.holes(kind, cells)
+        counts.append(len(got))
+    assert max(counts) >= 3
 
 
 def test_border_examples():

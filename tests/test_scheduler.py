@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
-from gridmatter.cli import gen_blob, gen_rect, random_offsets
 from gridmatter.particles import make_config
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
@@ -28,6 +27,7 @@ from gridmatter.scheduler import (
     run,
 )
 from gridmatter.grid import GridKind, directions
+from gridmatter.shapes import gen_blob, gen_rect, random_offsets
 
 TWO = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

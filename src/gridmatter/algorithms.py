@@ -12,7 +12,19 @@ state, its inbox and the cells at its algorithm's `read_offsets` from p
 (elect: its slot cells, so the ports plus the corners on the square
 grid; tree: its ports; renumber and ids: none).  On an empty inbox only
 a state for which its algorithm's `CAN_ACT` predicate holds may change
-or send.  The engine relies on both to step only particles that can act.
+or send.  Steps are idempotent: stepped again on an empty inbox with its
+read cells unchanged, a particle changes nothing and sends nothing.
+
+The engine relies on these contracts to step a particle only when it
+has mail or a change may have given it something to do.  Each
+algorithm's `wake_rule` names whom a change of p wakes:
+- elect: the candidates in p's slot cells;
+- tree: on a join of p, the joined neighbours whose port facing p is a
+  child port, except the one p's parent port faces; on a prune, nobody.
+  Of a neighbour, a tree step reads only whether it is the leader or has
+  joined under a parent port that does not face the reader, and only a
+  join changes that;
+- renumber and ids: nobody, as their steps read no other cell.
 """
 
 from __future__ import annotations
@@ -72,9 +84,9 @@ def _evolve(state: ParticleState, **changes) -> ParticleState:
 
 
 def initial_states(config: ParticleConfig) -> dict:
-    return {
-        p: ParticleState(frame_offset=config.offset(p)) for p in config.particles()
-    }
+    # states are immutable, so particles with equal offsets share one
+    by_offset = [ParticleState(frame_offset=f) for f in range(degree(config.kind))]
+    return {p: by_offset[config.offset(p)] for p in config.particles()}
 
 
 def read_offsets(name: str, kind: GridKind) -> tuple[Coord, ...]:
@@ -92,10 +104,66 @@ def read_offsets(name: str, kind: GridKind) -> tuple[Coord, ...]:
 # any other state's step on an empty inbox returns it and sends nothing.
 CAN_ACT = {
     ELECT: lambda s: s.status == STATUS_CANDIDATE,
-    TREE: lambda s: s.status == STATUS_LEADER or s.tree_joined,
+    TREE: lambda s: bool(s.child_ports) if s.tree_joined else s.status == STATUS_LEADER,
     RENUMBER: lambda s: s.status == STATUS_LEADER and not s.renumber_done,
     IDS: lambda s: s.status == STATUS_LEADER and not s.ids_done,
 }
+
+
+def _wake_none(p, old, new, states):
+    return ()
+
+
+def wake_rule(name: str, kind: GridKind):
+    """`wakes(p, old, new, states)`: the particles that p's change from
+    `old` to `new` can make act on an empty inbox, read from `states`
+    after the change.  Every other particle's next step on an empty
+    inbox would change nothing and send nothing."""
+    if name == ELECT:
+        slots = read_offsets(ELECT, kind)
+
+        def wakes(p, old, new, states):
+            i, j = p
+            out = []
+            for di, dj in slots:
+                q = (i + di, j + dj)
+                qs = states.get(q)
+                if qs is not None and qs.status == STATUS_CANDIDATE:
+                    out.append(q)
+            return out
+
+        return wakes
+    if name == TREE:
+        dirs = directions(kind)
+        d = len(dirs)
+        half = d // 2
+
+        def wakes(p, old, new, states):
+            if old.tree_joined:
+                return ()  # a prune: no neighbour reads child ports
+            # the root has no parent port, so it skips no neighbour
+            parent = (
+                None if new.parent_port is None
+                else (new.parent_port + new.frame_offset) % d
+            )
+            i, j = p
+            out = []
+            for c, (di, dj) in enumerate(dirs):
+                if c == parent:
+                    continue
+                q = (i + di, j + dj)
+                qs = states.get(q)
+                # q's label of the port facing p
+                if qs is not None and qs.tree_joined and (
+                    (c + half - qs.frame_offset) % d in qs.child_ports
+                ):
+                    out.append(q)
+            return out
+
+        return wakes
+    if name in (RENUMBER, IDS):
+        return _wake_none
+    raise ValueError(f"unknown algorithm {name!r}")
 
 
 class ElectProtocol:
@@ -153,27 +221,33 @@ class TreeProtocol:
 
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
-        self.dirs = directions(config.kind)
-        self.d = len(self.dirs)
+        dirs = directions(config.kind)
+        d = self.d = len(dirs)
+        self.half = d // 2
+        # per frame offset, per local port: (canonical port, di, dj)
+        self.ports = tuple(
+            tuple(((a + f) % d, *dirs[(a + f) % d]) for a in range(d))
+            for f in range(d)
+        )
 
     def _local_occupied(self, p, state, states):
         i, j = p
         return {
-            (a - state.frame_offset) % self.d
-            for a, (di, dj) in enumerate(self.dirs)
+            a
+            for a, (_, di, dj) in enumerate(self.ports[state.frame_offset])
             if (i + di, j + dj) in states
         }
 
     def _child_gone(self, p, local_port, state, states):
-        # true when the neighbor through local_port has joined under a
-        # different parent
-        di, dj = self.dirs[(local_port + state.frame_offset) % self.d]
-        q = (p[0] + di, p[1] + dj)
-        qs = states[q]
-        if not qs.tree_joined or qs.status == STATUS_LEADER:
-            return qs.status == STATUS_LEADER
-        di, dj = self.dirs[(qs.parent_port + qs.frame_offset) % self.d]
-        return (q[0] + di, q[1] + dj) != p
+        # true when the neighbor through local_port is the leader or has
+        # joined under a parent port that does not face p
+        c, di, dj = self.ports[state.frame_offset][local_port]
+        qs = states[(p[0] + di, p[1] + dj)]
+        if qs.status == STATUS_LEADER:
+            return True
+        return qs.tree_joined and (
+            (qs.parent_port + qs.frame_offset) % self.d != (c + self.half) % self.d
+        )
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined:

@@ -156,9 +156,11 @@ def generate(shape, kind, seed, k, allow_holes, output):
 
 def _load_doc(path: str) -> ConfigDoc:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         _input_error(exc)
+    except UnicodeDecodeError as exc:
+        _input_error(f"{path}: {exc}")
     try:
         doc = parse_config_text(text)
     except ValueError as exc:
@@ -167,6 +169,15 @@ def _load_doc(path: str) -> ConfigDoc:
     if problems:
         _input_error(*(f"{path}: {msg}" for msg in problems))
     return doc
+
+
+def _check_k(kind: GridKind, k: int) -> None:
+    """Exit 4 unless the pipeline supports k on this grid."""
+    if k < 1:
+        _input_error("k must be >= 1")
+    if k > SUPPORTED_K[kind]:
+        _input_error(f"k={k} exceeds the certified range for "
+                     f"{kind.value} (max {SUPPORTED_K[kind]})")
 
 
 @cli.command("run")
@@ -182,11 +193,7 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
     config = doc.config
     k = doc.k if k is None else k
     seed = doc.seed if seed is None else seed
-    if k < 1:
-        _input_error("k must be >= 1")
-    if k > SUPPORTED_K[config.kind]:
-        _input_error(f"k={k} exceeds the certified range for "
-                     f"{config.kind.value} (max {SUPPORTED_K[config.kind]})")
+    _check_k(config.kind, k)
     sched = Schedule(policy=SCHEDULE_FLAGS[schedule], seed=seed)
     try:
         # the report needs no trace
@@ -253,6 +260,7 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
 def verify(config_path):
     """Validate a config file and describe it."""
     doc = _load_doc(config_path)
+    _check_k(doc.config.kind, doc.k)
     holes, edge = holes_and_border(doc.config)
     lines = [
         ("grid", doc.config.kind.value),

@@ -14,6 +14,12 @@ hypothetical concurrent groupings of a recorded trace.
 Each algorithm of a pipeline runs to quiescence (one full round with no
 state change and no message traffic) before the next starts.  Identical
 inputs give bit-identical traces.
+
+Only awake particles are stepped; a sleeping particle's activation is a
+no-op without the call.  Every particle sleeps after its step, since
+steps are idempotent (see `algorithms`).  A delivery wakes the receiver,
+and a change wakes whom its algorithm's `wake_rule` names.  At the start
+of a phase the particles with mail or in a `CAN_ACT` state are awake.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import algorithms
 from .grid import Coord, GridKind, directions, distance
@@ -53,8 +59,7 @@ class Schedule:
     orders: Optional[tuple[tuple[Coord, ...], ...]] = None
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     via_port: int  # receiver's local port of arrival
     payload: tuple
 
@@ -246,17 +251,7 @@ def run(
     for name in pipeline:
         proto = algorithms.make_protocol(name, config, k)
         step = proto.step
-        # A step reads only its own state, its inbox and the cells at its
-        # algorithm's read offsets, and on an empty inbox only a state in
-        # the can-act predicate acts.  So only the awake particles are
-        # stepped: those with mail, and those in a can-act state that
-        # have not done a silent no-op on an empty inbox since one of
-        # their read cells last changed.  A step that leaves its
-        # particle outside can-act, or a silent no-op on an empty inbox,
-        # puts it to sleep; a delivery wakes the receiver, and a change
-        # wakes the can-act particles that read the changed cell.  A
-        # sleeping particle's activation is a no-op without the call.
-        reads = algorithms.read_offsets(name, config.kind)
+        wakes = algorithms.wake_rule(name, config.kind)
         can_act = algorithms.CAN_ACT[name]
         awake = {p for p in particles if inboxes[p] or can_act(states[p])}
         phase_round = 0
@@ -281,18 +276,12 @@ def run(
                     inboxes[p] = []
                 state = states[p]
                 new_state, outbox, accepted = step(p, state, inbox, states)
+                awake.discard(p)
                 changed = new_state is not state
                 if changed:
                     states[p] = new_state
                     round_changed = True
-                    i, j = p
-                    for di, dj in reads:
-                        q = (i + di, j + dj)
-                        qs = states.get(q)
-                        if qs is not None and can_act(qs):
-                            awake.add(q)
-                if not (changed or inbox or outbox) or not can_act(new_state):
-                    awake.discard(p)
+                    awake.update(wakes(p, state, new_state, states))
                 phase_msgs += accepted
                 for local_port, payload in outbox:
                     canon = (local_port + new_state.frame_offset) % d
@@ -300,7 +289,7 @@ def run(
                     target = (p[0] + di, p[1] + dj)
                     # the receiver's local label of the reverse edge
                     via = (canon + half - states[target].frame_offset) % d
-                    inboxes[target].append(Message(via_port=via, payload=payload))
+                    inboxes[target].append(Message(via, payload))
                     awake.add(target)
                     round_sends += 1
                 if record and (changed or outbox):

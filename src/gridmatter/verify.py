@@ -80,13 +80,21 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
             violations.append(f"id-range: {p}")
         if s.coord_i != (p[0] - leader[0]) % m or s.coord_j != (p[1] - leader[1]) % m:
             violations.append(f"coords: {p}")
-    # a pair within distance k is within k on each axis; offsets taken in
-    # lexicographic order list each p's partners q > p in sorted order
-    box = [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)]
+    # a pair within distance k is within k on each axis, and q > p holds
+    # exactly for the offsets after (0, 0); taken in lexicographic order,
+    # they list each p's partners q > p in sorted order
+    half = [
+        (di, dj)
+        for di in range(k + 1)
+        for dj in range(-k, k + 1)
+        if (di, dj) > (0, 0)
+    ]
     for p in sorted(ids):
-        for di, dj in box:
-            q = (p[0] + di, p[1] + dj)
-            if q > p and ids.get(q) == ids[p] and distance(kind, p, q) <= k:
+        mine = ids[p]
+        i, j = p
+        for di, dj in half:
+            q = (i + di, j + dj)
+            if ids.get(q) == mine and distance(kind, p, q) <= k:
                 violations.append(f"id-collision: {p} {q}")
     return violations
 

@@ -4,12 +4,15 @@ Most cases drive `python -m gridmatter.cli` through a real subprocess,
 with the repository's `src` directory first on its PYTHONPATH, so exit
 codes, stdout bytes, and stderr diagnostics are tested exactly as an
 operator sees them.  The forced invariant-failure case monkeypatches the
-verifier in process instead, since a correct engine never produces one.
+verifier in process instead, since a correct engine never produces one,
+and the mutated-config property test runs in process through click's
+test runner, which keeps its hundreds of examples fast.
 """
 
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -625,6 +628,70 @@ def test_run_k_out_of_range_exits_4(rect_cfg):
     proc = cli("run", str(rect_cfg), "--k", "20")
     assert proc.returncode == 4
     assert "certified range" in proc.stderr
+
+
+def test_config_k_out_of_range_exits_4_for_run_and_verify(tmp_path):
+    path = tmp_path / "k99.cfg"
+    path.write_text("grid square\nk 99\nparticle 0 0\n")
+    want = "error: k=99 exceeds the certified range for square (max 12)\n"
+    for command in ("run", "verify"):
+        proc = cli(command, str(path))
+        assert proc.returncode == 4, command
+        assert proc.stdout == "" and proc.stderr == want, command
+
+
+def test_config_that_is_not_utf8_exits_4(tmp_path):
+    path = tmp_path / "bytes.cfg"
+    path.write_bytes(b"grid square\nparticle 0 0\n\xff\xfe\n")
+    for command in ("run", "verify"):
+        proc = cli(command, str(path))
+        assert proc.returncode == 4, command
+        assert proc.stderr.startswith(f"error: {path}: "), proc.stderr
+        assert "can't decode byte 0xff" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+_INVALID_UTF8 = (b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80")
+
+
+def _mutate(text: bytes, data) -> bytes:
+    """Garble a byte, drop or repeat a token, or insert invalid UTF-8."""
+    op = data.draw(st.sampled_from(("garble", "drop", "repeat", "invalid")))
+    if op in ("drop", "repeat"):
+        tokens = re.split(rb"(\s+)", text)
+        words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+        if words:
+            i = data.draw(st.sampled_from(words))
+            tokens[i] = b"" if op == "drop" else tokens[i] + b" " + tokens[i]
+        return b"".join(tokens)
+    at = data.draw(st.integers(0, len(text)))
+    if op == "garble":
+        return text[:at] + bytes([data.draw(st.integers(0, 255))]) + text[at + 1:]
+    return text[:at] + data.draw(st.sampled_from(_INVALID_UTF8)) + text[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(GridKind)), data=st.data())
+def test_mutated_config_text_exits_0_3_or_4_without_a_traceback(
+    kind, data, tmp_path_factory
+):
+    cells = gen_rect(3, 3)
+    config = make_config(kind, cells, random_offsets(kind, cells, random.Random(1)))
+    text = serialize_config(ConfigDoc(config=config, k=2, seed=1)).encode()
+    for _ in range(data.draw(st.integers(1, 4))):
+        text = _mutate(text, data)
+    path = tmp_path_factory.mktemp("mutant") / "mutant.cfg"
+    path.write_bytes(text)
+    for command in ("run", "verify"):
+        result = CliRunner().invoke(climod.cli, [command, str(path)])
+        # an uncaught exception would be a traceback and exit 1
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit
+        ), (command, text, result.exception)
+        assert result.exit_code in (0, 3, 4), (command, text, result.output)
+        assert "Traceback" not in result.output
+        if result.exit_code == 4:
+            assert result.stderr.startswith("error:"), (command, text, result.stderr)
 
 
 def test_run_bad_schedule_flag_exits_4(rect_cfg):

@@ -290,24 +290,58 @@ def test_golden_trace_digests(kind, shape):
 # ---------------------------------------------------------------------------
 # The engine steps only awake particles.  That is exact only while every
 # step reads nothing but its own state, its inbox and its algorithm's
-# `read_offsets` cells, and only `CAN_ACT` states act on an empty inbox;
-# the audit below checks both on every particle at every step call.
+# `read_offsets` cells, only `CAN_ACT` states act on an empty inbox, and
+# steps are idempotent; the audit below checks all three on every
+# particle at every step call, and which fields a step reads of another
+# cell's state.
+
+# Per algorithm, the fields of other cells' states that its steps read.
+NEIGHBOUR_FIELDS = {
+    "elect": {"status"},
+    "tree": {"status", "tree_joined", "parent_port", "frame_offset"},
+    "renumber": set(),
+    "ids": set(),
+}
+
+
+class FieldLog:
+    """A read-only view of a state that records the fields read through it."""
+
+    __slots__ = ("_state", "_fields")
+
+    def __init__(self, state, fields):
+        self._state = state
+        self._fields = fields
+
+    def __getattr__(self, field):
+        self._fields.add(field)
+        return getattr(self._state, field)
 
 
 class ReadLog(dict):
-    """A states dict that records the keys read while `reads` is a set."""
+    """A states dict that records the keys read while `reads` is a set,
+    and the fields read of every cell but `me` into `fields`."""
 
     reads = None
+    me = None
+    fields = None
+
+    def _view(self, key, state):
+        if key == self.me or state is None:
+            return state
+        return FieldLog(state, self.fields)
 
     def __getitem__(self, key):
-        if self.reads is not None:
-            self.reads.add(key)
-        return dict.__getitem__(self, key)
+        if self.reads is None:
+            return dict.__getitem__(self, key)
+        self.reads.add(key)
+        return self._view(key, dict.__getitem__(self, key))
 
     def get(self, key, default=None):
-        if self.reads is not None:
-            self.reads.add(key)
-        return dict.get(self, key, default)
+        if self.reads is None:
+            return dict.get(self, key, default)
+        self.reads.add(key)
+        return self._view(key, dict.get(self, key, default))
 
     def __contains__(self, key):
         if self.reads is not None:
@@ -327,21 +361,28 @@ for _name in ("__iter__", "__len__", "keys", "values", "items", "copy"):
     setattr(ReadLog, _name, _whole(_name))
 
 
-def _audited_step(name, kind, step, dormant, idle):
+def _audited_step(name, kind, step, counts):
     offsets = algorithms.read_offsets(name, kind)
     can_act = algorithms.CAN_ACT[name]
 
     def checked(p, state, inbox, states):
-        states.reads = set()
+        states.reads, states.me, states.fields = set(), p, set()
         try:
             out = step(p, state, inbox, states)
         finally:
-            reads, states.reads = states.reads, None
+            reads, fields = states.reads, states.fields
+            states.reads = states.me = states.fields = None
         allowed = {p} | {(p[0] + di, p[1] + dj) for di, dj in offsets}
         assert reads <= allowed, (name, p, sorted(map(str, reads - allowed)))
+        assert fields <= NEIGHBOUR_FIELDS[name], (name, p, fields)
+        counts["fields"][name] |= fields
         if not inbox and not can_act(state):
-            dormant[name] += 1
+            counts["dormant"][name] += 1
             assert out[0] is state and not out[1], (name, p)
+        # idempotent: again on an empty inbox, with the read cells as
+        # they are, the step changes nothing and sends nothing
+        again = step(p, out[0], [], states)
+        assert again[0] is out[0] and not again[1], (name, p)
         return out
 
     def audited(p, state, inbox, states):
@@ -350,8 +391,11 @@ def _audited_step(name, kind, step, dormant, idle):
         for q in list(dict.keys(states)):
             checked(q, dict.__getitem__(states, q), [], states)
         if not inbox and not can_act(state):
-            idle[name] += 1  # a call the engine could have skipped
-        return checked(p, state, inbox, states)
+            counts["idle"][name] += 1  # a call the engine could have skipped
+        out = checked(p, state, inbox, states)
+        if out[0] is state and not out[1]:
+            counts["no-op"][name] += 1
+        return out
 
     return audited
 
@@ -362,14 +406,16 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
 ):
     make_protocol = algorithms.make_protocol
     initial_states = algorithms.initial_states
-    dormant = dict.fromkeys(PIPELINE_FULL, 0)
-    idle = dict.fromkeys(PIPELINE_FULL, 0)
+    counts = {
+        key: dict.fromkeys(PIPELINE_FULL, 0) for key in ("dormant", "idle", "no-op")
+    }
+    counts["fields"] = {name: set() for name in PIPELINE_FULL}
 
     def audited_protocol(name, config, k=1):
         proto = make_protocol(name, config, k)
         # only step and describe, as a wrapping benchmark tracer exposes
         return SimpleNamespace(
-            step=_audited_step(name, config.kind, proto.step, dormant, idle),
+            step=_audited_step(name, config.kind, proto.step, counts),
             describe=proto.describe,
         )
 
@@ -388,9 +434,14 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
         assert isinstance(res.states, ReadLog)
         assert res.trace.to_text() == plain.trace.to_text()
         assert _states_text(res.states) == _states_text(plain.states)
-    assert all(dormant.values()), dormant
-    # the engine never steps a particle that cannot act and has no mail
-    assert not any(idle.values()), idle
+    assert all(counts["dormant"].values()), counts["dormant"]
+    assert counts["fields"] == NEIGHBOUR_FIELDS
+    # the engine never steps a particle that cannot act and has no mail,
+    # and outside the election every step it makes changes or sends
+    assert not any(counts["idle"].values()), counts["idle"]
+    assert counts["no-op"]["elect"] and not any(
+        counts["no-op"][name] for name in ("tree", "renumber", "ids")
+    ), counts["no-op"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1600])
@@ -492,6 +543,24 @@ def test_run_equals_a_reference_engine_that_steps_every_activation(
         assert res.trace.to_text() == text
         assert res.reports == reports
         assert res.states == states
+
+
+@pytest.mark.parametrize("policy", [POLICY_RANDOM, POLICY_EXPLICIT])
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_run_equals_the_reference_engine_on_a_200_particle_blob(kind, policy):
+    rng = random.Random(200)
+    cells = gen_blob(kind, 200, rng)
+    cfg = make_config(kind, cells, random_offsets(kind, cells, rng))
+    orders = _explicit_orders(sorted(cells), rng) if policy == POLICY_EXPLICIT else None
+    if orders:
+        assert any(len(order) > len(cells) for order in orders)  # repeats
+    sched = Schedule(policy, seed=17, orders=orders)
+    text, reports, states = _reference_run(cfg, PIPELINE_FULL, sched, 2)
+    res = run(cfg, PIPELINE_FULL, sched, k=2)
+    assert leader_of(res.states) is not None
+    assert res.trace.to_text() == text
+    assert res.reports == reports
+    assert res.states == states
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,10 @@ class TreeProtocol:
                 return state, (), 0
             receipts = frozenset(m.via_port for m in inbox)
             parent = inbox[0].via_port
+            # every joined neighbour's port is a receipt: the leader sends
+            # to every port, and a neighbour that joined before p counted
+            # the unjoined p as a child and sent to it
             children = frozenset(self._local_occupied(p, state, states) - receipts)
-            children = frozenset(
-                a for a in children if not self._child_gone(p, a, state, states)
-            )
             outbox = [(a, self.payload) for a in sorted(children)]
             new = _evolve(
                 state,
@@ -273,7 +273,8 @@ class TreeProtocol:
             )
             return new, outbox, 1
         # joined, the root too: no particle sends to the leader, since
-        # `_child_gone` treats it as gone, so its receipts stay empty
+        # its port is in every neighbour's receipts, so its receipts stay
+        # empty
         receipts = state.receipt_ports
         if inbox:
             receipts = receipts | frozenset(m.via_port for m in inbox)

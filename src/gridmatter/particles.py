@@ -91,20 +91,25 @@ def validate_config(config: ParticleConfig) -> list[str]:
 
 
 def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
+    """A search over the int keys i * w + j of the cells, w two more than
+    the span of the j's, so a step (di, dj) adds di * w + dj.  It pops
+    the keys it reaches from a set of them: memory O(len(cells)) however
+    far apart the cells lie."""
     if not cells:
         return False
-    dirs = directions(kind)
-    start = next(iter(cells))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in dirs:
-            v = (i + di, j + dj)
-            if v in cells and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(cells)
+    js = [j for _, j in cells]
+    w = max(js) - min(js) + 2
+    todo = {i * w + j for i, j in cells}
+    offsets = [di * w + dj for di, dj in directions(kind)]
+    stack = [todo.pop()]
+    while stack and todo:
+        u = stack.pop()
+        for o in offsets:
+            v = u + o
+            if v in todo:
+                todo.remove(v)
+                stack.append(v)
+    return not todo
 
 
 def occupied_ports(config: ParticleConfig, p: Coord) -> set[int]:
@@ -124,7 +129,7 @@ def extended_neighborhood(kind: GridKind, at: Coord) -> set[Coord]:
 
 @dataclass(frozen=True)
 class HoleReport:
-    """Finite unoccupied pockets of a configuration, largest box flood."""
+    """Finite unoccupied pockets of a configuration, by least cell."""
 
     holes: tuple[frozenset[Coord], ...]
 
@@ -133,79 +138,66 @@ class HoleReport:
         return len(self.holes)
 
 
-def _bounding_box(occ: Iterable[Coord]) -> tuple[int, int, int, int]:
-    is_ = [p[0] for p in occ]
-    js = [p[1] for p in occ]
-    return min(is_), max(is_), min(js), max(js)
+_WALL, _EXTERIOR, _HOLE = 2, 3, 4  # raster marks; 0 is free, 1 occupied
 
 
-def _exterior_and_pockets(
-    config: ParticleConfig,
-) -> tuple[set[Coord], list[set[Coord]]]:
-    """Flood the unoccupied cells of the bounding box grown by one.
+def _flood(config: ParticleConfig, with_border: bool) -> tuple[HoleReport, set[Coord]]:
+    """One flood of the free cells of the bounding box grown by one.
 
-    Returns the component of the box's ring (a certificate of the
-    infinite exterior component) and the remaining unoccupied components,
-    which are exactly the holes.  The scan is row-major, so it floods the
-    ring first, since the box's least cell lies on it and the ring is free
-    and 4-connected, and it meets each hole first at its least cell, so
-    the holes come out sorted by their least cells.
+    The cells are the bytes of a row-major raster of the box grown by
+    two, whose outer ring is a wall: cell (i, j) at key (i - i0) * w +
+    j - j0, a step (di, dj) adds di * w + dj.  The walk from the box's
+    least cell, on the free ring around the particles, marks the
+    exterior.  The cells left free are the holes, and `bytearray.find`
+    meets each first at its least cell, so they come out sorted by it.
+    The border, if asked for, is the particles with an exterior neighbour.
     """
     occ = config.occupied
-    dirs = directions(config.kind)
-    min_i, max_i, min_j, max_j = _bounding_box(occ)
-    min_i -= 1
-    max_i += 1
-    min_j -= 1
-    max_j += 1
+    is_ = [p[0] for p in occ]
+    js = [p[1] for p in occ]
+    i0, j0 = min(is_) - 2, min(js) - 2
+    w = max(js) - j0 + 3
+    h = max(is_) - i0 + 3
+    grid = bytearray(h * w)
+    grid[:w] = grid[-w:] = bytes([_WALL]) * w
+    grid[::w] = grid[w - 1 :: w] = bytes([_WALL]) * h
+    keys = [(i - i0) * w + j - j0 for i, j in occ]
+    for k in keys:
+        grid[k] = 1
+    offsets = [di * w + dj for di, dj in directions(config.kind)]
 
-    parts: list[set[Coord]] = []
-    seen: set[Coord] = set()
-    for i in range(min_i, max_i + 1):
-        for j in range(min_j, max_j + 1):
-            c = (i, j)
-            if c in occ or c in seen:
-                continue
-            part = {c}
-            queue = deque([c])
-            while queue:
-                ui, uj = queue.popleft()
-                for di, dj in dirs:
-                    vi = ui + di
-                    vj = uj + dj
-                    v = (vi, vj)
-                    if (
-                        min_i <= vi <= max_i
-                        and min_j <= vj <= max_j
-                        and v not in occ
-                        and v not in part
-                    ):
-                        part.add(v)
-                        queue.append(v)
-            seen |= part
-            parts.append(part)
-    return parts[0], parts[1:]
+    def fill(start: int, mark: int):
+        """Mark the free component of `start`, yielding its cells; only
+        the frontier is held, however large the exterior."""
+        grid[start] = mark
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            yield u
+            for o in offsets:
+                v = u + o
+                if not grid[v]:
+                    grid[v] = mark
+                    queue.append(v)
 
-
-def _holes(pockets: list[set[Coord]]) -> HoleReport:
-    return HoleReport(holes=tuple(frozenset(s) for s in pockets))
-
-
-def _border(config: ParticleConfig, exterior: set[Coord]) -> set[Coord]:
-    dirs = directions(config.kind)
-    out = set()
-    for p in config.occupied:
-        i, j = p
-        for di, dj in dirs:
-            if (i + di, j + dj) in exterior:
-                out.add(p)
-                break
-    return out
+    deque(fill(w + 1, _EXTERIOR), maxlen=0)  # walked to its end, kept nowhere
+    holes = []
+    at = grid.find(0)
+    while at >= 0:
+        holes.append(frozenset((k // w + i0, k % w + j0) for k in fill(at, _HOLE)))
+        at = grid.find(0, at)
+    edge = set()
+    if with_border:
+        for p, k in zip(occ, keys):
+            for o in offsets:
+                if grid[k + o] == _EXTERIOR:
+                    edge.add(p)
+                    break
+    return HoleReport(holes=tuple(holes)), edge
 
 
 def find_holes(config: ParticleConfig) -> HoleReport:
-    _, pockets = _exterior_and_pockets(config)
-    return _holes(pockets)
+    return _flood(config, with_border=False)[0]
 
 
 def border(config: ParticleConfig) -> set[Coord]:
@@ -214,14 +206,12 @@ def border(config: ParticleConfig) -> set[Coord]:
     A particle whose only free neighbors lie inside holes does not
     qualify; it is interior as far as the outside world can tell.
     """
-    exterior, _ = _exterior_and_pockets(config)
-    return _border(config, exterior)
+    return _flood(config, with_border=True)[1]
 
 
 def holes_and_border(config: ParticleConfig) -> tuple[HoleReport, set[Coord]]:
     """`find_holes` and `border` from one flood of the exterior."""
-    exterior, pockets = _exterior_and_pockets(config)
-    return _holes(pockets), _border(config, exterior)
+    return _flood(config, with_border=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +361,8 @@ def radius(config: ParticleConfig) -> int:
     report, b = holes_and_border(config)
     if report.count:
         raise ValueError("radius is defined for hole-free configurations")
-    best = None
-    for u in config.particles():
-        dist = _distances_within(config, u)
-        worst = max(dist[v] for v in b)
-        if best is None or worst < best:
-            best = worst
-    assert best is not None
-    return best
+    dists = (_distances_within(config, u) for u in config.particles())
+    return min(max(dist[v] for v in b) for dist in dists)
 
 
 def mtree(config: ParticleConfig, limit: int = 18) -> int:

@@ -16,10 +16,11 @@ state change and no message traffic) before the next starts.  Identical
 inputs give bit-identical traces.
 
 Only awake particles are stepped; a sleeping particle's activation is a
-no-op without the call.  Every particle sleeps after its step, since
-steps are idempotent (see `algorithms`).  A delivery wakes the receiver,
-and a change wakes whom its algorithm's `wake_rule` names.  At the start
-of a phase the particles with mail or in a `CAN_ACT` state are awake.
+no-op without the call, and a round stops being scanned once none is
+awake.  Every particle sleeps after its step, since steps are
+idempotent (see `algorithms`).  A delivery wakes the receiver, and a
+change wakes whom its algorithm's `wake_rule` names.  At the start of a
+phase the particles with mail or in a `CAN_ACT` state are awake.
 """
 
 from __future__ import annotations
@@ -268,7 +269,9 @@ def run(
             changes: dict[int, tuple[str, int]] = {}
             if record:
                 trace.log.append(TraceRound(trace.rounds + 1, name, order, changes))
-            for pos, p in enumerate(order):
+            # only a step wakes a particle, so once none is awake the rest
+            # of the round is no-ops: it is drawn, recorded and counted only
+            for pos, p in enumerate(order if awake else ()):
                 if p not in awake:
                     continue
                 inbox = inboxes[p]
@@ -297,6 +300,8 @@ def run(
                         proto.describe(state, new_state) if changed else "-",
                         len(outbox),
                     )
+                if not awake:
+                    break
             phase_sends += round_sends
             trace.rounds += 1
             phase_round += 1

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .grid import Coord, GridKind, degree, directions
+from .grid import GridKind, degree, directions
 from .particles import ParticleConfig, find_holes, removal_table, slot_cells
 
 
@@ -139,40 +139,49 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     method call per draw: on CPython (3.10-3.12) both draw below m with
     `getrandbits(m.bit_length())`, redrawn while the result is >= m.
     `test_generator_draws_are_choice_and_randrange_draws` pins this.
+
+    The growth and the peel run on int keys (i + b) * w + (j + b) with
+    b = n + 2 and w = 2 * b, so a step (di, dj) adds di * w + dj.  Every
+    cell grown or tested lies within n of the origin, so 0 < i + b,
+    j + b < w: the keys are distinct and sort in the order of the pairs.
     """
     if n < 1:
         raise ValueError("blob size must be positive")
     kind = GridKind(kind)
-    dirs = directions(kind)
+    b = n + 2
+    w = 2 * b
+    dirs = [di * w + dj for di, dj in directions(kind)]
     table = removal_table(kind)
-    window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
+    window = [(bit, di * w + dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
 
-    def removable(p: Coord) -> bool:
-        i, j = p
+    def removable(q: int) -> bool:
         mask = 0
-        for bit, di, dj in window:
-            if (i + di, j + dj) in occ:
+        for bit, o in window:
+            if q + o in occ:
                 mask |= bit
         return table[mask]
+
+    def pairs(keys) -> set:
+        return {(k // w - b, k % w - b) for k in keys}
 
     grow_simple = kind == GridKind.KING and not allow_holes
     getrandbits = rng.getrandbits
     ndirs = len(dirs)
     dir_bits = ndirs.bit_length()
-    occ = {(0, 0)}
-    cells = [(0, 0)]
+    origin = b * w + b
+    occ = {origin}
+    cells = [origin]
     size, size_bits = 1, 1
     while size < n:
         # rng.choice(cells), then rng.choice(dirs)
         r = getrandbits(size_bits)
         while r >= size:
             r = getrandbits(size_bits)
-        i, j = cells[r]
+        q = cells[r]
         r = getrandbits(dir_bits)
         while r >= ndirs:
             r = getrandbits(dir_bits)
-        di, dj = dirs[r]
-        q = (i + di, j + dj)
+        q += dirs[r]
         if q in occ or (grow_simple and not removable(q)):
             continue
         occ.add(q)
@@ -180,11 +189,11 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         size += 1
         size_bits = size.bit_length()
     if allow_holes or grow_simple:
-        return occ
-    report = find_holes(ParticleConfig(kind=kind, occupied=frozenset(occ)))
+        return pairs(occ)
+    report = find_holes(ParticleConfig(kind=kind, occupied=frozenset(pairs(occ))))
     for hole in report.holes:
-        occ.update(hole)
-    peelable = sorted(p for p in occ if removable(p))
+        occ.update((i + b) * w + j + b for i, j in hole)
+    peelable = sorted(q for q in occ if removable(q))
     while len(occ) > n:
         # rng.randrange(len(peelable)), which raises on an empty range
         m = len(peelable)
@@ -194,11 +203,11 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         r = getrandbits(bits)
         while r >= m:
             r = getrandbits(bits)
-        i, j = peelable.pop(r)
-        occ.discard((i, j))
-        # the cells whose window holds (i, j)
-        for _, di, dj in window:
-            q = (i - di, j - dj)
+        p = peelable.pop(r)
+        occ.discard(p)
+        # the cells whose window holds p
+        for _, o in window:
+            q = p - o
             if q not in occ:
                 continue
             at = bisect_left(peelable, q)
@@ -208,7 +217,7 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
                     del peelable[at]
                 else:
                     peelable.insert(at, q)
-    return occ
+    return pairs(occ)
 
 
 def random_offsets(kind: GridKind, cells, rng: random.Random) -> dict:

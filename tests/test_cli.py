@@ -15,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -706,6 +707,20 @@ def test_disconnected_config_rejected(tmp_path):
     proc = cli("run", str(path))
     assert proc.returncode == 4
     assert "not connected" in proc.stderr
+
+
+def test_far_apart_particles_are_rejected_without_a_box_sized_allocation(tmp_path):
+    # the connectivity test keeps O(n) memory: a raster of the bounding
+    # box would need 10**12 cells here
+    path = tmp_path / "far.cfg"
+    path.write_text("grid square\nparticle 0 0\nparticle 1000000 1000000\n")
+    for command in ("verify", "run"):
+        start = time.perf_counter()
+        result = CliRunner().invoke(climod.cli, [command, str(path)])
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 4, (command, result.exception)
+        assert result.stderr == f"error: {path}: occupied set is not connected\n"
+        assert elapsed < 1.0, (command, elapsed)
 
 
 def test_duplicate_particle_line_exits_4(tmp_path):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridmatter.grid import GridKind, degree, neighbors
@@ -13,6 +13,7 @@ from gridmatter.particles import (
     contractibility_table,
     extended_neighborhood,
     find_holes,
+    holes_and_border,
     is_s_contractible,
     is_s_contractible_local,
     make_config,
@@ -173,6 +174,40 @@ def test_border_matches_oracle_on_blobs(kind):
         cells = grown_blob(kind, 15 + 2 * seed, 100 + seed)
         got = border(make_config(kind, cells))
         assert got == oracles.border_cells(kind, cells)
+
+
+# arbitrary sets of up to 36 cells in a 6x6 window placed anywhere
+# around the origin, negative coordinates included
+SMALL_SETS = st.builds(
+    lambda i0, j0, cells: {(i0 + i, j0 + j) for i, j in cells},
+    st.integers(-8, 8),
+    st.integers(-8, 8),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=36),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), cells=SMALL_SETS)
+@example(kind=GridKind.KING, cells={(-3, -7)})
+@example(kind=GridKind.SQUARE, cells={(-2, j) for j in range(-3, 4)})
+@example(kind=GridKind.TRIANGULAR, cells={(i, -5) for i in range(-4, 2)})
+# holes next to the box's edge rows
+@example(kind=GridKind.SQUARE, cells={(i - 5, j - 1) for i, j in RING})
+@example(kind=GridKind.TRIANGULAR, cells={(i, j - 4) for i, j in FIG_HOLE_TRI})
+# a king diamond read on the square grid, as `stall_label` reads it:
+# disconnected there, around a one-cell hole
+@example(kind=GridKind.SQUARE, cells={(0, 1), (1, 0), (1, 2), (2, 1)})
+def test_floods_match_oracles_on_small_sets(kind, cells):
+    config = make_config(kind, cells)
+    holes = oracles.holes(kind, cells)
+    edge = oracles.border_cells(kind, cells)
+    assert list(find_holes(config).holes) == holes
+    assert border(config) == edge
+    report, got_edge = holes_and_border(config)
+    assert list(report.holes) == holes
+    assert got_edge == edge
+    split = "occupied set is not connected" in validate_config(config)
+    assert split == (not oracles.connected(kind, cells))
 
 
 def test_contractibility_known_cases():

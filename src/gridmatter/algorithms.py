@@ -19,12 +19,18 @@ The engine relies on these contracts to step a particle only when it
 has mail or a change may have given it something to do.  Each
 algorithm's `wake_rule` names whom a change of p wakes:
 - elect: the candidates in p's slot cells;
-- tree: on a join of p, the joined neighbours whose port facing p is a
-  child port, except the one p's parent port faces; on a prune, nobody.
-  Of a neighbour, a tree step reads only whether it is the leader or has
-  joined under a parent port that does not face the reader, and only a
-  join changes that;
+- tree: on a join of p, the joined neighbours except the one p's parent
+  port faces; on a prune, nobody.  Of a neighbour, a tree step reads
+  only whether it has joined under a parent port that does not face the
+  reader, and only a join changes that;
 - renumber and ids: nobody, as their steps read no other cell.
+
+The tree phase relies on the engine's sequential, immediate delivery.
+A joiner's children, its occupied ports minus those its mail came
+through, are exactly its unjoined neighbours: each neighbour that
+joined before it found it unjoined and sent to it at once.  So no mail
+reaches a joined particle, and the leader, which joins first, is
+nobody's child.
 """
 
 from __future__ import annotations
@@ -136,12 +142,12 @@ def wake_rule(name: str, kind: GridKind):
     if name == TREE:
         dirs = directions(kind)
         d = len(dirs)
-        half = d // 2
 
         def wakes(p, old, new, states):
             if old.tree_joined:
                 return ()  # a prune: no neighbour reads child ports
-            # the root has no parent port, so it skips no neighbour
+            # every joined neighbour holds p as a child (see the module
+            # docstring); the root has no parent port, so it skips none
             parent = (
                 None if new.parent_port is None
                 else (new.parent_port + new.frame_offset) % d
@@ -153,10 +159,7 @@ def wake_rule(name: str, kind: GridKind):
                     continue
                 q = (i + di, j + dj)
                 qs = states.get(q)
-                # q's label of the port facing p
-                if qs is not None and qs.tree_joined and (
-                    (c + half - qs.frame_offset) % d in qs.child_ports
-                ):
+                if qs is not None and qs.tree_joined:
                     out.append(q)
             return out
 
@@ -208,12 +211,12 @@ class ElectProtocol:
 class TreeProtocol:
     """Spanning tree by flooding from the leader.
 
-    A particle joins on its first delivery: parent is the delivering
-    port, children are the remaining occupied ports minus any port a
-    notification has already come through.  Later deliveries prune.  A
-    joined particle also drops a child whose own parent pointer, read
-    from the snapshot, points elsewhere; two particles that notified
-    each other in the same round would otherwise both keep the edge.
+    A particle joins on its first delivery, the leader on its first step
+    with none: parent is the first delivering port, children are the
+    occupied ports minus every port mail came through, so exactly its
+    unjoined neighbours (see the module docstring).  A joined particle
+    then drops each child that, read from the snapshot, has joined under
+    another parent.
     """
 
     name = TREE
@@ -230,61 +233,39 @@ class TreeProtocol:
             for f in range(d)
         )
 
-    def _local_occupied(self, p, state, states):
-        i, j = p
-        return {
-            a
-            for a, (_, di, dj) in enumerate(self.ports[state.frame_offset])
-            if (i + di, j + dj) in states
-        }
-
     def _child_gone(self, p, local_port, state, states):
-        # true when the neighbor through local_port is the leader or has
-        # joined under a parent port that does not face p
+        # true when the neighbor through local_port has joined under a
+        # parent port that does not face p
         c, di, dj = self.ports[state.frame_offset][local_port]
         qs = states[(p[0] + di, p[1] + dj)]
-        if qs.status == STATUS_LEADER:
-            return True
         return qs.tree_joined and (
             (qs.parent_port + qs.frame_offset) % self.d != (c + self.half) % self.d
         )
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined:
-            if state.status == STATUS_LEADER:
-                children = frozenset(self._local_occupied(p, state, states))
-                outbox = [(a, self.payload) for a in sorted(children)]
-                return _evolve(state, tree_joined=True, child_ports=children), outbox, 0
-            if not inbox:
+            if not inbox and state.status != STATUS_LEADER:
                 return state, (), 0
             receipts = frozenset(m.via_port for m in inbox)
-            parent = inbox[0].via_port
-            # every joined neighbour's port is a receipt: the leader sends
-            # to every port, and a neighbour that joined before p counted
-            # the unjoined p as a child and sent to it
-            children = frozenset(self._local_occupied(p, state, states) - receipts)
+            i, j = p
+            children = frozenset(
+                a
+                for a, (_, di, dj) in enumerate(self.ports[state.frame_offset])
+                if (i + di, j + dj) in states and a not in receipts
+            )
             outbox = [(a, self.payload) for a in sorted(children)]
             new = _evolve(
                 state,
                 tree_joined=True,
-                parent_port=parent,
+                parent_port=inbox[0].via_port if inbox else None,
                 child_ports=children,
                 receipt_ports=receipts,
             )
-            return new, outbox, 1
-        # joined, the root too: no particle sends to the leader, since
-        # its port is in every neighbour's receipts, so its receipts stay
-        # empty
-        receipts = state.receipt_ports
-        if inbox:
-            receipts = receipts | frozenset(m.via_port for m in inbox)
-        children = frozenset(
-            a
-            for a in state.child_ports - receipts
-            if not self._child_gone(p, a, state, states)
-        )
-        if children != state.child_ports or receipts != state.receipt_ports:
-            return _evolve(state, child_ports=children, receipt_ports=receipts), (), 0
+            return new, outbox, 1 if inbox else 0
+        # joined, so its inbox is empty
+        gone = {a for a in state.child_ports if self._child_gone(p, a, state, states)}
+        if gone:
+            return _evolve(state, child_ports=state.child_ports - gone), (), 0
         return state, (), 0
 
     def describe(self, old, new):

@@ -138,8 +138,7 @@ def cli():
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def generate(shape, kind, seed, k, allow_holes, output):
     """Emit a config file: rect WxH | line N | ring OUTER INNER | blob N."""
-    if k < 1:
-        _input_error("k must be >= 1")
+    _check_k(GridKind(kind), k)
     try:
         config = generate_shape(GridKind(kind), list(shape), seed, allow_holes)
     except (ValueError, TypeError) as exc:

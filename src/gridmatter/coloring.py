@@ -9,13 +9,13 @@ Every pattern is doubly periodic and is held as its period table:
 its scheme (linear, stacked strips or lattice cosets) fills one period
 once, and `color_at`, `verify_coloring` and `color_table_text` read only
 that table.  Each returned pattern is certified at construction time by
-`verify_coloring`, a brute-force scan of one period window expanded by
-k.  The square family is linear, (i + t*j) mod m with t = k for odd
-k and t = k+1 for even k (the t = k choice fails for even k, e.g. the
-offset (1,3) collides at k=4, while t = k+1 passes the scan for every
-supported k).  The king pattern tiles (k+1)x(k+1) blocks, the cosets of
-the lattice spanned by (k+1, 0) and (0, k+1).  Triangular
-patterns are found by a deterministic search: the stacked-strip form for
+`verify_coloring`, a brute-force scan of one period against every
+offset within distance k.  The square family is linear, (i + t*j) mod m
+with t = k for odd k and t = k+1 for even k (the t = k choice fails for
+even k, e.g. the offset (1,3) collides at k=4, while t = k+1 passes the
+scan for every supported k).  The king pattern tiles (k+1)x(k+1)
+blocks, the cosets of the lattice spanned by (k+1, 0) and (0, k+1).
+Triangular patterns are found by a deterministic search: the stacked-strip form for
 odd k and the linear form for even k, each also tried with the j axis
 mirrored, and finally cosets of integer sublattices of determinant
 m'_k whose nonzero vectors all have triangular norm above k.  The
@@ -208,7 +208,7 @@ def _candidate_patterns(kind: GridKind, k: int):
                 )
 
 
-# Certified construction ranges; the verification window grows like k^4
+# Certified construction ranges; the verification scan grows like k^4
 # beyond these, so larger k is refused rather than left to crawl.
 SUPPORTED_K = {
     GridKind.SQUARE: 12,
@@ -250,33 +250,33 @@ def _colors_used(p: ColoringPattern) -> int:
 def verify_coloring(
     p: ColoringPattern,
 ) -> Optional[tuple[tuple[Coord, Coord], int]]:
-    """Brute-force validity scan over one period window expanded by k.
+    """Brute-force validity scan of one period against every offset.
 
-    Returns None when no two distinct vertices at distance <= k share a
-    color, otherwise one offending pair and its color: the first found
-    scanning offsets (di, dj) in lexicographic order, then cells (x, y)
-    in lexicographic order.  This is the oracle every constructed
-    pattern must pass.
+    Returns None when no cell (x, y) of one period shares its color with
+    a distinct cell (x + di, y + dj) at distance <= k, which by
+    periodicity covers every pair; otherwise one offending pair and its
+    color: the first found scanning offsets (di, dj) in lexicographic
+    order, then cells (x, y) in lexicographic order.  This is the oracle
+    every constructed pattern must pass.
     """
-    k = p.k
-    wi = p.period_i + 2 * k
-    wj = p.period_j + 2 * k
-    # window[x][y] is the color of (x, y)
-    window = [[color_at(p, x, y) for y in range(wj)] for x in range(wi)]
+    k, pi, pj = p.k, p.period_i, p.period_j
+    # column x twice over, so (x, y + dj) for 0 <= y < pj is the slice
+    # from dj mod pj; map and zip stop at that slice's end
+    cols = [[row[x] for row in p.rows] * 2 for x in range(pi)]
     for di in range(0, k + 1):
         for dj in range(-k, k + 1):
             if di == 0 and dj <= 0:
                 continue
             if distance(p.kind, (0, 0), (di, dj)) > k:
                 continue
-            lo, hi = max(0, -dj), wj - max(0, dj)
-            for x in range(wi - di):
-                a = window[x][lo:hi]
-                b = window[x + di][lo + dj:hi + dj]
+            lo = dj % pj
+            for x in range(pi):
+                a = cols[x]
+                b = cols[(x + di) % pi][lo:lo + pj]
                 if not any(map(eq, a, b)):
                     continue
                 y = next(y for y, (c1, c2) in enumerate(zip(a, b)) if c1 == c2)
-                return ((x, lo + y), (x + di, lo + y + dj)), a[y]
+                return ((x, y), (x + di, y + dj)), a[y]
     return None
 
 

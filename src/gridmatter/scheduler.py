@@ -20,7 +20,9 @@ no-op without the call, and a round stops being scanned once none is
 awake.  Every particle sleeps after its step, since steps are
 idempotent (see `algorithms`).  A delivery wakes the receiver, and a
 change wakes whom its algorithm's `wake_rule` names.  At the start of a
-phase the particles with mail or in a `CAN_ACT` state are awake.
+phase the particles in a `CAN_ACT` state are awake.  None has mail: the
+last phase ended on a round with no sends, which stepped every particle
+with mail.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def run(
         step = proto.step
         wakes = algorithms.wake_rule(name, config.kind)
         can_act = algorithms.CAN_ACT[name]
-        awake = {p for p in particles if inboxes[p] or can_act(states[p])}
+        awake = {p for p in particles if can_act(states[p])}
         phase_round = 0
         rounds_active = 0
         phase_msgs = 0

@@ -604,6 +604,7 @@ def test_color_table_king_k2_blocks():
         (("color-table", "square", "99"), "supported up to 12"),
         (("color-table", "square", "0"), ">= 1"),
         (("generate", "--k", "0", "rect", "2x2"), "k must be >= 1"),
+        (("generate", "--k", "99", "rect", "2x2"), "certified range"),
     ],
 )
 def test_input_errors_exit_4(args, needle, tmp_path):

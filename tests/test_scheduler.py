@@ -298,7 +298,7 @@ def test_golden_trace_digests(kind, shape):
 # Per algorithm, the fields of other cells' states that its steps read.
 NEIGHBOUR_FIELDS = {
     "elect": {"status"},
-    "tree": {"status", "tree_joined", "parent_port", "frame_offset"},
+    "tree": {"tree_joined", "parent_port", "frame_offset"},
     "renumber": set(),
     "ids": set(),
 }
@@ -467,7 +467,12 @@ def test_random_order_is_random_shuffle_of_sorted_particles(n):
 
 
 def _reference_run(config, pipeline, schedule, k):
-    """(to_text, reports, states) of `pipeline`, stepping every activation."""
+    """(to_text, reports, states) of `pipeline`, stepping every activation.
+
+    Also asserts what the engine and the tree step take from sequential,
+    immediate delivery: every phase starts with empty inboxes, and no
+    mail reaches a particle after it has joined the tree.
+    """
     particles = config.particles()
     rng = random.Random(schedule.seed)
     states = algorithms.initial_states(config)
@@ -477,6 +482,7 @@ def _reference_run(config, pipeline, schedule, k):
     lines, reports, rounds = [], [], 0
     for name in pipeline:
         proto = algorithms.make_protocol(name, config, k)
+        assert not any(inboxes.values()), name
         phase_round = active = messages = sends = 0
         while True:
             order = _order_for_round(schedule, particles, phase_round, rng)
@@ -486,6 +492,7 @@ def _reference_run(config, pipeline, schedule, k):
             for p in order:
                 inbox, inboxes[p] = inboxes[p], []
                 state = states[p]
+                assert not (name == "tree" and inbox and state.tree_joined), p
                 new, outbox, accepted = proto.step(p, state, inbox, states)
                 states[p] = new
                 changed = new != state

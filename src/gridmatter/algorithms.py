@@ -3,8 +3,8 @@
 Every algorithm is written as a protocol object with a pure step
 function: given the particle's state and inbox it returns the next state
 and the messages to emit.  Port numbers held in particle state
-(parent_port, child_ports, receipt_ports) are always in the particle's
-own frame; the engine translates to the receiver's frame on delivery.
+(parent_port, child_ports) are always in the particle's own frame; the
+engine translates to the receiver's frame on delivery.
 
 A step must return the identical state object when nothing changed;
 quiescence detection relies on it.  A step reads nothing but p, its own
@@ -76,7 +76,6 @@ class ParticleState:
     local_id: Optional[int] = None
     frame_offset: int = 0
     tree_joined: bool = False
-    receipt_ports: frozenset = frozenset()
     renumber_done: bool = False
     ids_done: bool = False
 
@@ -246,7 +245,7 @@ class TreeProtocol:
         if not state.tree_joined:
             if not inbox and state.status != STATUS_LEADER:
                 return state, (), 0
-            receipts = frozenset(m.via_port for m in inbox)
+            receipts = {m.via_port for m in inbox}
             i, j = p
             children = frozenset(
                 a
@@ -259,7 +258,6 @@ class TreeProtocol:
                 tree_joined=True,
                 parent_port=inbox[0].via_port if inbox else None,
                 child_ports=children,
-                receipt_ports=receipts,
             )
             return new, outbox, 1 if inbox else 0
         # joined, so its inbox is empty
@@ -312,9 +310,6 @@ class RenumberProtocol:
             frame_offset=(state.frame_offset - shift) % self.d,
             parent_port=(state.parent_port + shift) % self.d,
             child_ports=frozenset((a + shift) % self.d for a in state.child_ports),
-            receipt_ports=frozenset(
-                (a + shift) % self.d for a in state.receipt_ports
-            ),
         )
         return new, self._send_children(new), 1
 

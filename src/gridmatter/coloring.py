@@ -5,22 +5,21 @@ power: vertices sharing a color must be at grid distance greater than k.
 The optimal color counts are ceil((k+1)^2/2) for the square grid,
 ceil(3(k+1)^2/4) for the triangular grid and (k+1)^2 for the king grid.
 
-Every pattern is doubly periodic and is held as its period table:
-its scheme (linear, stacked strips or lattice cosets) fills one period
-once, and `color_at`, `verify_coloring` and `color_table_text` read only
-that table.  Each returned pattern is certified at construction time by
-`verify_coloring`, a brute-force scan of one period against every
-offset within distance k.  The square family is linear, (i + t*j) mod m
-with t = k for odd k and t = k+1 for even k (the t = k choice fails for
-even k, e.g. the offset (1,3) collides at k=4, while t = k+1 passes the
-scan for every supported k).  The king pattern tiles (k+1)x(k+1)
-blocks, the cosets of the lattice spanned by (k+1, 0) and (0, k+1).
-Triangular patterns are found by a deterministic search: the stacked-strip form for
-odd k and the linear form for even k, each also tried with the j axis
-mirrored, and finally cosets of integer sublattices of determinant
-m'_k whose nonzero vectors all have triangular norm above k.  The
-mirrored and lattice fallbacks matter because the plain forms collide
-across the (i+1, j-1) diagonal for most k.
+Every pattern is the coset coloring of one integer lattice, spanned by
+(p, 0) and (s, q): two cells share a color exactly when their difference
+is a lattice vector, so a lattice with no nonzero vector within
+distance k is a valid coloring with p*q colors.  Each (grid, k) takes
+its basis from a closed form (see `pattern`).  The square one is the
+(i + t*j) mod m coloring with t = k for odd k and t = k+1 for even k
+(Fertin, Godard & Raspaud, IPL 87, 2003; t = k fails for even k, e.g.
+the offset (1,3) collides at k=4).  The king one is the (k+1)x(k+1)
+blocks.  The triangular ones are the k=1 lattice scaled by (k+1)/2 for
+odd k and a linear (i + t*j) mod m form for even k.
+
+A pattern is held as one period of its color table, which `color_at`,
+`verify_coloring` and `color_table_text` read.  Each returned pattern is
+certified at construction time by `verify_coloring`, a brute-force scan
+of one period against every offset within distance k.
 
 Coordinates that feed a pattern never need to be exact: reducing them
 modulo the tracking modulus (m_k, m'_k, or k+1 per grid) preserves the
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import eq
-from typing import Optional, Union
+from typing import Optional
 
 from .grid import Coord, GridKind, distance, port_direction
 
@@ -59,73 +58,37 @@ def tracking_modulus(kind: GridKind, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class LinearScheme:
-    """(i + multiplier*j) mod modulus."""
-
-    multiplier: int
-    modulus: int
-
-    def color(self, i: int, j: int) -> int:
-        return (i + self.multiplier * j) % self.modulus
-
-
-@dataclass(frozen=True)
-class BlockScheme:
-    """Odd-k triangular stacked strips, optionally with the j axis mirrored."""
-
-    k: int
-    mirrored: bool = False
-
-    def color(self, i: int, j: int) -> int:
-        k = self.k
-        if self.mirrored:
-            j = -j
-        strip = 3 * (k + 1) // 2
-        m = color_count(GridKind.TRIANGULAR, k)
-        return (i % strip + j * strip + (2 * j // (k + 1)) * ((k + 1) // 2)) % m
-
-
-@dataclass(frozen=True)
-class CosetScheme:
-    """Index of (i, j) among the cosets of the lattice spanned by (p,0), (s,q)."""
-
-    p: int
-    q: int
-    s: int
-
-    def color(self, i: int, j: int) -> int:
-        jr = j % self.q
-        ir = (i - ((j - jr) // self.q) * self.s) % self.p
-        return ir + self.p * jr
-
-
-Scheme = Union[LinearScheme, BlockScheme, CosetScheme]
-
-
-@dataclass(frozen=True)
 class ColoringPattern:
-    """A doubly periodic coloring and its period table.
+    """Coset coloring of the lattice spanned by (p, 0) and (s, q).
 
-    The scheme only fills `rows[j][i]` for one period, 0 <= i < period_i
-    and 0 <= j < period_j; every color is read from that table.
+    The color of (i, j) is ir + p*jr: subtracting (j div q) times the
+    lattice vector (s, q) moves (i, j) to row jr = j mod q, and ir is
+    the column it lands on, mod p.  So there are p*q colors, and the
+    pattern repeats every p along i and every q*p/gcd(s, p) along j.
+    `rows[j][i]` holds one such period; every color is read from it.
     """
 
     kind: GridKind
     k: int
-    color_count: int
-    scheme: Scheme
-    period_i: int
-    period_j: int
-    label: str
+    p: int
+    q: int
+    s: int
+    color_count: int = field(init=False)
+    period_i: int = field(init=False)
+    period_j: int = field(init=False)
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        color = self.scheme.color
-        rows = tuple(
-            tuple(color(i, j) for i in range(self.period_i))
-            for j in range(self.period_j)
-        )
-        object.__setattr__(self, "rows", rows)
+        p, q, s = self.p, self.q, self.s
+        period_j = q * p // math.gcd(s, p)
+        put = object.__setattr__
+        put(self, "color_count", p * q)
+        put(self, "period_i", p)
+        put(self, "period_j", period_j)
+        put(self, "rows", tuple(
+            tuple((i - j // q * s) % p + p * (j % q) for i in range(p))
+            for j in range(period_j)
+        ))
 
 
 def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
@@ -151,61 +114,18 @@ def coord_update_receive(
 # Pattern construction
 
 
-def _lattice_is_spread(p: int, q: int, s: int, k: int) -> bool:
-    """No nonzero lattice vector a(p,0) + b(s,q) has triangular norm <= k."""
-    for b in range(0, k // q + 1):
-        j = b * q
-        base = b * s % p
-        lo = -((k + base) // p)
-        hi = (k - base) // p
-        for t in range(lo, hi + 1):
-            i = base + t * p
-            if b == 0 and i <= 0:
-                continue
-            if distance(GridKind.TRIANGULAR, (0, 0), (i, j)) <= k:
-                return False
-    return True
-
-
-def _candidate_patterns(kind: GridKind, k: int):
+def _basis(kind: GridKind, k: int) -> tuple[int, int, int]:
+    """(p, q, s) of the lattice whose cosets color the k-th power."""
     m = color_count(kind, k)
     if kind == GridKind.SQUARE:
         t = k if k % 2 else k + 1
-        yield ColoringPattern(
-            kind, k, m, LinearScheme(t % m, m), m, m, f"linear t={t % m} mod {m}"
-        )
-        return
+        return m, 1, -t % m
     if kind == GridKind.KING:
-        side = k + 1
-        yield ColoringPattern(
-            kind, k, m, CosetScheme(side, side, 0), side, side, f"{side}x{side} blocks"
-        )
-        return
-    # Triangular: plain form, mirrored form, then lattice cosets.
+        return k + 1, k + 1, 0
     if k % 2:
-        strip = 3 * (k + 1) // 2
-        for mirrored in (False, True):
-            name = "stacked strips" + (", mirrored" if mirrored else "")
-            yield ColoringPattern(
-                kind, k, m, BlockScheme(k, mirrored), strip, m, name
-            )
-    else:
-        t = 3 * k // 2 + 1
-        for mult in (t % m, -t % m):
-            yield ColoringPattern(
-                kind, k, m, LinearScheme(mult, m), m, m, f"linear t={mult} mod {m}"
-            )
-    for q in range(1, m + 1):
-        if m % q:
-            continue
-        p = m // q
-        for s in range(p):
-            if _lattice_is_spread(p, q, s, k):
-                period_j = q * (p // math.gcd(s, p)) if s else q
-                yield ColoringPattern(
-                    kind, k, m, CosetScheme(p, q, s), p, period_j,
-                    f"coset table p={p} q={q} s={s}",
-                )
+        h = (k + 1) // 2
+        return 3 * h, h, h
+    return m, 1, (3 * k // 2 + 1) % m
 
 
 # Certified construction ranges; the verification scan grows like k^4
@@ -219,10 +139,16 @@ SUPPORTED_K = {
 
 @lru_cache(maxsize=None)
 def pattern(kind: GridKind, k: int) -> ColoringPattern:
-    """First oracle-valid pattern with exactly color_count colors.
+    """The optimal pattern for (kind, k), certified by `verify_coloring`.
 
-    The candidate order is deterministic, so the same (kind, k) always
-    yields the same pattern.
+    The lattice basis (p, q, s) is closed-form, with m = color_count:
+    - square: (m, 1, -t mod m), t = k for odd k and k+1 for even k,
+      which is (i + t*j) mod m;
+    - king: (k+1, k+1, 0), the (k+1)x(k+1) blocks;
+    - triangular, odd k: (3h, h, h) with h = (k+1)/2, the k=1 lattice
+      scaled by h;
+    - triangular, even k: (m, 1, (3k/2 + 1) mod m).
+    A pattern that fails the scan is refused with LookupError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -232,19 +158,10 @@ def pattern(kind: GridKind, k: int) -> ColoringPattern:
             f"no certified pattern for {kind.value} k={k} "
             f"(supported up to {SUPPORTED_K[kind]})"
         )
-    m = color_count(kind, k)
-    for cand in _candidate_patterns(kind, k):
-        if _colors_used(cand) != m:
-            continue
-        if verify_coloring(cand) is None:
-            return cand
-    raise LookupError(
-        f"no oracle-valid optimal pattern found for {kind.value} k={k}"
-    )
-
-
-def _colors_used(p: ColoringPattern) -> int:
-    return len({c for row in p.rows for c in row})
+    cand = ColoringPattern(kind, k, *_basis(kind, k))
+    if verify_coloring(cand) is not None:
+        raise LookupError(f"no oracle-valid optimal pattern for {kind.value} k={k}")
+    return cand
 
 
 def verify_coloring(

@@ -249,6 +249,25 @@ def coloring_valid(color, kind, k, span=12) -> bool:
     return True
 
 
+def lattice_spread(kind, p, q, s, k) -> bool:
+    """No nonzero vector a*(p, 0) + b*(s, q), a and b integers, has
+    bfs_distance <= k.
+
+    Such a lattice's cosets color the distance-k power: two cells share
+    a coset exactly when their difference is a lattice vector.  Every
+    grid step moves each coordinate by at most one, so only vectors with
+    max(|i|, |j|) <= k need a BFS distance.  (i, j) is a lattice vector
+    when b = j/q is an integer and so is a = (i - b*s)/p.
+    """
+    for i in range(-k, k + 1):
+        for j in range(-k, k + 1):
+            if (i, j) == (0, 0) or j % q or (i - j // q * s) % p:
+                continue
+            if bfs_distance(kind, (0, 0), (i, j)) <= k:
+                return False
+    return True
+
+
 def _embed(kind, p):
     """Planar drawing of a cell; the triangular grid shears so the six
     directions sit at sixty-degree steps.  The vertical axis is flipped

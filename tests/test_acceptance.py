@@ -34,7 +34,6 @@ from gridmatter.algorithms import (
 )
 from gridmatter.coloring import (
     ColoringPattern,
-    LinearScheme,
     color_at,
     color_count,
     color_table_text,
@@ -551,16 +550,9 @@ def test_criterion_9_coloring_optimality():
                 }
                 assert len(used) == m, (kind.value, k)
 
-        # the uncorrected square k=4 multiplier collides at offset (1,3)
-        bad = ColoringPattern(
-            kind=GridKind.SQUARE,
-            k=4,
-            color_count=13,
-            scheme=LinearScheme(4, 13),
-            period_i=13,
-            period_j=13,
-            label="linear t=4 mod 13",
-        )
+        # the uncorrected square k=4 multiplier, (i + 4j) mod 13, collides
+        # at offset (1,3)
+        bad = ColoringPattern(GridKind.SQUARE, 4, p=13, q=1, s=9)
         hit = verify_coloring(bad)
         assert hit is not None
         (c1, c2), _ = hit

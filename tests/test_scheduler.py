@@ -196,7 +196,7 @@ def _golden_schedules(cells):
 def _states_text(states):
     return repr([
         (p, s.status, s.parent_port, sorted(s.child_ports), s.coord_i, s.coord_j,
-         s.local_id, s.frame_offset, s.tree_joined, sorted(s.receipt_ports),
+         s.local_id, s.frame_offset, s.tree_joined,
          s.renumber_done, s.ids_done)
         for p, s in sorted(states.items())
     ])
@@ -219,47 +219,47 @@ GOLDEN = {
     ("square", "rect5x4"): (
         "a0cc2048ae4e25987a8a34e20380f69f4359ebad5f307508fce9460ca2f1a43d",
         "5bc0d4cc285a0b92fbab3dfe7654442b92695864534279d3e0a80010737d2276",
-        "02a7675c3bab1414e439d8f9c884f0921846da4724d2c80f9b055b8385fbb8cc",
+        "e1a4c395b2918f5d9469b56cf749fca07ef0b712d2c63ff3a8cf128594fa5f7c",
     ),
     ("square", "blob30"): (
         "2554eb7e0e6fb29210fb369aa4170e8baf59d87a63dbbd9de8c75f01f1c9a4ed",
         "c345176c9996f32df43494b62c116354323c7b20e69b52c129dae2fa1f2f64f1",
-        "2bf7f9f8d7308dff1ccfa7f1cae58c852d0e3b9302946e32195eb2bf4cf44967",
+        "1509942515bd9fd9328ed0d6684008bd69ea7ab5d083675c3fbf42083161eb0e",
     ),
     ("square", "blob60"): (
         "b2c228c3aefe464a54d0ac6f3e57b267e4a3c5fca61f6d8704c9d30594fcd0d0",
         "ab646c56e9112fd06356b74a5f80bc303b08b403c3e72d91115bf2b5f1af749c",
-        "d1dda575da9f3ff05127520c9e1d7ff2832c7f3fdba5e1e9ba86643395538892",
+        "da636615b97d088a9263e5a67443a4f67e22af593be73463502acee948f74714",
     ),
     ("triangular", "rect5x4"): (
         "88f0fbb3aa927d524a6b7643b554500b587a6f2cd2fc52bb59fbb6b3136ac201",
         "5fb3df75579302ae7ce9132ea20e7900cc189f266a62eb452b2c9497eb767636",
-        "957eacd16a20237b60f9bc23eef1de91645ee64fc0540b123da1c344e6219d93",
+        "878c34b8b27b722ad01f510eddb521f3125a117a8ab7ca0691ac27f5d0c172d3",
     ),
     ("triangular", "blob30"): (
         "bcd5b066ce99a24669c190619fea0ea716e86ca1355da0220653839ccea8e2d3",
         "30898bf56500156d70a04a984342d02ed7e5e6e66ee9872ed51f4fbf555a91bb",
-        "53cc563a2e21a1da1303744eef7c4f09ffb54d7835d1004edd0c0ed1975fa5af",
+        "dfda665af88c5e5aef048592660f365d752436a2b90b9d0fef1450b4fac20693",
     ),
     ("triangular", "blob60"): (
         "e290cd26dc4727ea960ab1e78134be2842f34b6df7e3c404f75b08fdb740a113",
         "a7bcc3da21b4ef6392442770352e560913caac1d3769d7be458d7f5f7a82915a",
-        "787da2e0a4e24b3479fed345faf8f50b000b7726fe1fa4c56898e78da9dda9c2",
+        "ed5741800cda62d5a226577355f63ab7c66172facdfa2a0c9881c44c8c340b6b",
     ),
     ("king", "rect5x4"): (
         "3f934b7b50e6d51e7da40d1fb56dd30a7cc1567af10b5ffaeff0e32e18dac058",
         "032127fe5777421ac1b264db9ea8068fa9440830310e9c34bb01054804a7da9f",
-        "2a80552f5845b7c358b27ba72b4778eccef2b58f9c71828612b9df3b8a18e455",
+        "8e7084eabca657e08736865e61e1dc2579fab6a9fd8c38a3214b54ac70ec1582",
     ),
     ("king", "blob30"): (
         "029c0f8ef2d0ee7137c2d61e7dd13308c666546574dbe1aaf62cd311b2ee382a",
         "dc59d03c249fac5c6872c6c3fe8acd69e0554e33f3db8f5660b9a27a3e816f74",
-        "8f350e3ee5866eebff40b0469b144c9cac52d64e4aa7c2a5adf149801e8b5c08",
+        "183fc5581c17ae6e51ff0af84b337c2406bf6d48a242258326295cb353d0b0fc",
     ),
     ("king", "blob60"): (
         "c537950ee95f116ff86e66ab8a5b7d02c452e47d73994944e32c099132b96039",
         "333adf4196dff1c82fde9b301c9a83c262ffbe98bb26787209198b3682a41dfd",
-        "a647d69b239906bf9ba2d24aeb2167bc7945143f41e21c579fc3342c25ceb108",
+        "87933c03d5385ad0345975b597afbfedb1081658b783e44d6cb2152db81c42b2",
     ),
 }
 

@@ -21,7 +21,8 @@ algorithm's `wake_rule` names whom a change of p wakes:
 - elect: the candidates in p's slot cells;
 - tree: on a join of p, the joined neighbours except the one p's parent
   port faces; on a prune, nobody.  Of a neighbour, a tree step reads
-  only whether it has joined under a parent port that does not face the
+  only whether it has joined and, through
+  `ParticleState.parent_direction`, whether its parent port faces the
   reader, and only a join changes that;
 - renumber and ids: nobody, as their steps read no other cell.
 
@@ -78,6 +79,14 @@ class ParticleState:
     tree_joined: bool = False
     renumber_done: bool = False
     ids_done: bool = False
+
+    def parent_direction(self, d: int) -> Optional[int]:
+        """The canonical direction (of `d`) the parent port faces, or None:
+        a register a neighbour reads across the shared edge ("does your
+        parent port face me?"), which tells it nothing of this frame."""
+        if self.parent_port is None:
+            return None
+        return (self.parent_port + self.frame_offset) % d
 
 
 def _evolve(state: ParticleState, **changes) -> ParticleState:
@@ -147,10 +156,7 @@ def wake_rule(name: str, kind: GridKind):
                 return ()  # a prune: no neighbour reads child ports
             # every joined neighbour holds p as a child (see the module
             # docstring); the root has no parent port, so it skips none
-            parent = (
-                None if new.parent_port is None
-                else (new.parent_port + new.frame_offset) % d
-            )
+            parent = new.parent_direction(d)
             i, j = p
             out = []
             for c, (di, dj) in enumerate(dirs):
@@ -225,21 +231,19 @@ class TreeProtocol:
         self.kind = config.kind
         dirs = directions(config.kind)
         d = self.d = len(dirs)
-        self.half = d // 2
-        # per frame offset, per local port: (canonical port, di, dj)
+        # per frame offset, per local port: (the canonical direction from
+        # that neighbour back to p, di, dj)
         self.ports = tuple(
-            tuple(((a + f) % d, *dirs[(a + f) % d]) for a in range(d))
+            tuple(((a + f + d // 2) % d, *dirs[(a + f) % d]) for a in range(d))
             for f in range(d)
         )
 
     def _child_gone(self, p, local_port, state, states):
         # true when the neighbor through local_port has joined under a
         # parent port that does not face p
-        c, di, dj = self.ports[state.frame_offset][local_port]
+        back, di, dj = self.ports[state.frame_offset][local_port]
         qs = states[(p[0] + di, p[1] + dj)]
-        return qs.tree_joined and (
-            (qs.parent_port + qs.frame_offset) % self.d != (c + self.half) % self.d
-        )
+        return qs.tree_joined and qs.parent_direction(self.d) != back
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined:
@@ -456,12 +460,11 @@ def leader_of(states: dict) -> Optional[Coord]:
 
 
 def tree_parent(kind: GridKind, states: dict, p: Coord) -> Optional[Coord]:
-    s = states[p]
-    if s.parent_port is None:
-        return None
     dirs = directions(kind)
-    di, dj = dirs[(s.parent_port + s.frame_offset) % len(dirs)]
-    return (p[0] + di, p[1] + dj)
+    c = states[p].parent_direction(len(dirs))
+    if c is None:
+        return None
+    return (p[0] + dirs[c][0], p[1] + dirs[c][1])
 
 
 def tree_children(kind: GridKind, states: dict, p: Coord) -> list:

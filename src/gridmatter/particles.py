@@ -368,75 +368,37 @@ def radius(config: ParticleConfig) -> int:
 def mtree(config: ParticleConfig, limit: int = 18) -> int:
     """Maximum height over induced subgraphs of P that are trees.
 
-    Exhaustive over vertex subsets, so only for small instances; this is
-    a proof-side quantity used to check the round bound, not anything a
-    particle computes.
+    It is ceil(L/2) for L the length of the longest induced path of P.  A
+    tree's best-root height is ceil(diameter/2) (Jordan's centre theorem),
+    and its diameter path is an induced path of P, since an induced tree
+    has no chords; and an induced path of length L is itself an induced
+    tree of height ceil(L/2).
+
+    The search extends induced paths depth-first, with an explicit stack:
+    a path grows by a cell q only when q's single neighbour on the path is
+    its last cell.  It is exponential in the worst case, so only for small
+    instances; this is a proof-side quantity used to check the round
+    bound, not anything a particle computes.
     """
     cells = config.particles()
     n = len(cells)
     if n > limit:
         raise ValueError(f"mtree is exhaustive; {n} particles exceeds limit {limit}")
     index = {c: i for i, c in enumerate(cells)}
-    adj = [0] * n
-    for c in cells:
-        for v in neighbors(config.kind, c):
-            if v in index:
-                adj[index[c]] |= 1 << index[v]
+    adj = [[index[v] for v in neighbors(config.kind, c) if v in index] for c in cells]
+    adj_mask = [sum(1 << v for v in vs) for vs in adj]
 
-    best = 0
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        size = len(members)
-        # a path of `size` vertices has height size // 2, no tree does better
-        if size // 2 <= best:
-            continue
-        edges = 0
-        for i in members:
-            edges += (adj[i] & mask).bit_count()
-        edges //= 2
-        if edges != size - 1:
-            continue
-        # connected with size-1 edges, i.e. a tree?
-        seen = 1 << members[0]
-        stack = [members[0]]
+    longest = 0
+    for start in range(n):
+        # (last cell, cells on the path as a bitmask, edges)
+        stack = [(start, 1 << start, 0)]
         while stack:
-            u = stack.pop()
-            reach = adj[u] & mask & ~seen
-            while reach:
-                low = reach & -reach
-                seen |= low
-                stack.append(low.bit_length() - 1)
-                reach ^= low
-        if seen != mask:
-            continue
-        best = max(best, _tree_height(members, adj, mask))
-    return best
-
-
-def _tree_height(members: list[int], adj: list[int], mask: int) -> int:
-    if len(members) == 1:
-        return 0
-    deg = {i: (adj[i] & mask).bit_count() for i in members}
-    leaves = [i for i in members if deg[i] == 1]
-    best = None
-    for root in members:
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            reach = adj[u] & mask
-            while reach:
-                low = reach & -reach
-                v = low.bit_length() - 1
-                reach ^= low
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        worst = max(dist[leaf] for leaf in leaves)
-        if best is None or worst < best:
-            best = worst
-    assert best is not None
-    return best
+            last, path, length = stack.pop()
+            longest = max(longest, length)
+            for q in adj[last]:
+                if adj_mask[q] & path == 1 << last and not path >> q & 1:
+                    stack.append((q, path | 1 << q, length + 1))
+    return (longest + 1) // 2
 
 
 def _bound_from(kind: GridKind, r: int, mt: int) -> int:

@@ -52,7 +52,8 @@ class SimulationError(RuntimeError):
 class Schedule:
     """Activation policy: fixed order, seeded shuffles, or explicit orders.
 
-    Explicit orders are given per round; rounds past the provided list
+    Explicit orders are given per round, each naming every particle and
+    no other cell (a particle may repeat); rounds past the provided list
     fall back to the sorted round-robin order, so quiescence confirmation
     does not need to be spelled out.
     """
@@ -149,8 +150,6 @@ class RunTrace:
     log: list[TraceRound] = field(default_factory=list)
     rounds: int = 0
     activations: int = 0
-    messages: int = 0  # accepted by the receiving protocol
-    sends: int = 0  # raw emissions
 
     @property
     def events(self) -> TraceEvents:
@@ -215,10 +214,12 @@ def _order_for_round(
     if schedule.policy == POLICY_EXPLICIT:
         if schedule.orders and round_index < len(schedule.orders):
             order = list(schedule.orders[round_index])
-            missing = set(particles) - set(order)
-            if missing:
+            listed, members = set(order), set(particles)
+            if listed != members:
                 raise SimulationError(
-                    f"explicit order for round {round_index} skips {sorted(missing)}"
+                    f"explicit order for round {round_index} skips "
+                    f"{sorted(members - listed)}, names empty cells "
+                    f"{sorted(listed - members)}"
                 )
             return order
         return particles
@@ -311,8 +312,6 @@ def run(
                 rounds_active += 1
             if not round_changed and not round_sends:
                 break
-        trace.messages += phase_msgs
-        trace.sends += phase_sends
         reports.append(
             AlgorithmReport(
                 name=name,

@@ -36,7 +36,7 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
         return (p[0] + di, p[1] + dj)
 
     parent = {
-        p: cell(p, s, s.parent_port)
+        p: algorithms.tree_parent(kind, states, p)
         for p, s in states.items()
         if s.parent_port is not None
     }

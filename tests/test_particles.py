@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,6 +320,25 @@ def test_single_particle_bound():
     assert radius(c) == 0
     assert mtree(c) == 0
     assert round_bound(c) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mtree_matches_the_oracle_on_blobs(kind):
+    # hole-free blobs of 1-14 cells, then 14-cell blobs that may keep holes
+    shapes = [gen_blob(kind, 1 + seed % 14, random.Random(seed)) for seed in range(28)]
+    shapes += [
+        gen_blob(kind, 14, random.Random(seed), allow_holes=True) for seed in range(200)
+    ]
+    configs = [make_config(kind, cells) for cells in shapes]
+    assert any(find_holes(c).count for c in configs)
+    for c, cells in zip(configs, shapes):
+        assert mtree(c) == oracles.max_tree_height(kind, cells)
+
+
+def test_mtree_searches_paths_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    line = make_config("square", [(i, 0) for i in range(n)])
+    assert mtree(line, limit=n) == -(-(n - 1) // 2)
 
 
 def test_radius_rejects_holes_and_mtree_rejects_large():

@@ -62,9 +62,10 @@ def test_different_seeds_may_change_orders_but_not_the_leader():
 
 def test_explicit_orders_must_cover_every_particle():
     cfg = make_config("square", TWO)
-    sched = Schedule(POLICY_EXPLICIT, orders=(((0, 0), (0, 1), (1, 0)),))
-    with pytest.raises(SimulationError):
-        run(cfg, ("elect",), sched)
+    # one particle skipped; every particle named, and a cell with none
+    for order in (((0, 0), (0, 1), (1, 0)), (*TWO, (9, 9))):
+        with pytest.raises(SimulationError):
+            run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(order,)))
 
 
 def test_explicit_orders_fall_back_to_sorted_when_exhausted():
@@ -298,7 +299,7 @@ def test_golden_trace_digests(kind, shape):
 # Per algorithm, the fields of other cells' states that its steps read.
 NEIGHBOUR_FIELDS = {
     "elect": {"status"},
-    "tree": {"tree_joined", "parent_port", "frame_offset"},
+    "tree": {"tree_joined", "parent_direction"},
     "renumber": set(),
     "ids": set(),
 }

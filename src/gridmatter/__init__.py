@@ -55,8 +55,6 @@ from .scheduler import (
     SimulationError,
     TraceEvent,
     TraceRound,
-    check_exclusion,
-    count_rounds,
     run,
 )
 from .algorithms import (
@@ -71,7 +69,6 @@ from .algorithms import (
     initial_states,
     leader_of,
     tree_children,
-    tree_edges,
     tree_height,
     tree_parent,
     update_id_after_move,

@@ -1,10 +1,13 @@
 """Local algorithms: leader election, spanning tree, frame agreement, ids.
 
 Every algorithm is written as a protocol object with a pure step
-function: given the particle's state and inbox it returns the next state
-and the messages to emit.  Port numbers held in particle state
-(parent_port, child_ports) are always in the particle's own frame; the
-engine translates to the receiver's frame on delivery.
+function: given the particle's state and inbox, a list of
+(via_port, payload) pairs, it returns the next state, the messages to
+emit as (local port, payload) pairs, and how many it accepted.  Port
+numbers held in particle state (parent_port, child_ports) are always in
+the particle's own frame; the engine translates to the receiver's frame
+on delivery.  Each protocol builds its per-grid tables once, at
+construction.
 
 A step must return the identical state object when nothing changed;
 quiescence detection relies on it.  A step reads nothing but p, its own
@@ -37,9 +40,10 @@ nobody's child.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .coloring import color_at, coord_update_receive, pattern, tracking_modulus
+from .coloring import color_at, pattern, receive_update, tracking_modulus
 from .grid import (
     Coord,
     GridKind,
@@ -91,10 +95,25 @@ class ParticleState:
 
 def _evolve(state: ParticleState, **changes) -> ParticleState:
     """`dataclasses.replace` without its per-call field introspection,
-    which dominated step time; ParticleState has no __post_init__."""
+    which dominated step time; ParticleState has no __post_init__.  The
+    new instance takes one merged dict, cheaper than filling its own."""
     new = object.__new__(ParticleState)
-    new.__dict__.update(state.__dict__, **changes)
+    object.__setattr__(new, "__dict__", {**state.__dict__, **changes})
     return new
+
+
+@lru_cache(maxsize=None)
+def port_steps(kind: GridKind) -> tuple:
+    """Per frame offset f, per local port a: (di, dj, r), the lattice step
+    through a, and r, the canonical port by which the neighbour there
+    reaches back (`opposite_port`).  The one direction table of the
+    engine, the tree step, `tree_height` and `verify_run`."""
+    dirs = directions(kind)
+    d = len(dirs)
+    return tuple(
+        tuple((*dirs[(a + f) % d], opposite_port(kind, (a + f) % d)) for a in range(d))
+        for f in range(d)
+    )
 
 
 def initial_states(config: ParticleConfig) -> dict:
@@ -138,10 +157,11 @@ def wake_rule(name: str, kind: GridKind):
 
         def wakes(p, old, new, states):
             i, j = p
+            get = states.get
             out = []
             for di, dj in slots:
                 q = (i + di, j + dj)
-                qs = states.get(q)
+                qs = get(q)
                 if qs is not None and qs.status == STATUS_CANDIDATE:
                     out.append(q)
             return out
@@ -158,12 +178,13 @@ def wake_rule(name: str, kind: GridKind):
             # docstring); the root has no parent port, so it skips none
             parent = new.parent_direction(d)
             i, j = p
+            get = states.get
             out = []
             for c, (di, dj) in enumerate(dirs):
                 if c == parent:
                     continue
                 q = (i + di, j + dj)
-                qs = states.get(q)
+                qs = get(q)
                 if qs is not None and qs.tree_joined:
                     out.append(q)
             return out
@@ -191,16 +212,19 @@ class ElectProtocol:
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
         self.table = removal_table(config.kind)
-        self.slots = slot_cells(config.kind, (0, 0))
+        self.slots = tuple(
+            (bit, di, dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
+        )
         self.port_bits = (1 << degree(config.kind)) - 1
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
             return state, (), 0
         i, j = p
+        get = states.get
         mask = 0
-        for bit, (di, dj) in self.slots:
-            qs = states.get((i + di, j + dj))  # None on an empty cell
+        for bit, di, dj in self.slots:
+            qs = get((i + di, j + dj))  # None on an empty cell
             if qs is not None and qs.status == STATUS_CANDIDATE:
                 mask |= bit
         if not self.table[mask]:
@@ -211,6 +235,18 @@ class ElectProtocol:
 
     def describe(self, old, new):
         return f"{old.status}->{new.status}"
+
+
+class _PerPortSet(dict):
+    """A value per child-port set, made by `make` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, ports):
+        value = self[ports] = self.make(ports)
+        return value
 
 
 class TreeProtocol:
@@ -225,53 +261,50 @@ class TreeProtocol:
     """
 
     name = TREE
-    payload = (TREE,)
 
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
-        dirs = directions(config.kind)
-        d = self.d = len(dirs)
-        # per frame offset, per local port: (the canonical direction from
-        # that neighbour back to p, di, dj)
-        self.ports = tuple(
-            tuple(((a + f + d // 2) % d, *dirs[(a + f) % d]) for a in range(d))
-            for f in range(d)
-        )
-
-    def _child_gone(self, p, local_port, state, states):
-        # true when the neighbor through local_port has joined under a
-        # parent port that does not face p
-        back, di, dj = self.ports[state.frame_offset][local_port]
-        qs = states[(p[0] + di, p[1] + dj)]
-        return qs.tree_joined and qs.parent_direction(self.d) != back
+        self.ports = port_steps(config.kind)
+        d = self.d = len(self.ports)
+        self.sends = tuple((a, (TREE,)) for a in range(d))
+        self.kids = _PerPortSet(lambda ports: ",".join(map(str, sorted(ports))) or "-")
 
     def step(self, p, state, inbox, states):
+        if not state.tree_joined and not inbox and state.status != STATUS_LEADER:
+            return state, (), 0
+        i, j = p
+        hop = self.ports[state.frame_offset]
         if not state.tree_joined:
-            if not inbox and state.status != STATUS_LEADER:
-                return state, (), 0
-            receipts = {m.via_port for m in inbox}
-            i, j = p
-            children = frozenset(
+            got = 0  # the ports mail came through, as bits
+            for via, _ in inbox:
+                got |= 1 << via
+            kids = [
                 a
-                for a, (_, di, dj) in enumerate(self.ports[state.frame_offset])
-                if (i + di, j + dj) in states and a not in receipts
-            )
-            outbox = [(a, self.payload) for a in sorted(children)]
+                for a, (di, dj, _) in enumerate(hop)
+                if not got >> a & 1 and (i + di, j + dj) in states
+            ]
             new = _evolve(
                 state,
                 tree_joined=True,
-                parent_port=inbox[0].via_port if inbox else None,
-                child_ports=children,
+                parent_port=inbox[0][0] if inbox else None,
+                child_ports=frozenset(kids),
             )
-            return new, outbox, 1 if inbox else 0
-        # joined, so its inbox is empty
-        gone = {a for a in state.child_ports if self._child_gone(p, a, state, states)}
-        if gone:
-            return _evolve(state, child_ports=state.child_ports - gone), (), 0
-        return state, (), 0
+            return new, [self.sends[a] for a in kids], 1 if inbox else 0
+        # joined, so its inbox is empty: keep each child unless it has
+        # joined under a parent port that does not face p
+        d = self.d
+        kept = []
+        for a in state.child_ports:
+            di, dj, back = hop[a]
+            qs = states[(i + di, j + dj)]
+            if not qs.tree_joined or qs.parent_direction(d) == back:
+                kept.append(a)
+        if len(kept) == len(state.child_ports):
+            return state, (), 0
+        return _evolve(state, child_ports=frozenset(kept)), (), 0
 
     def describe(self, old, new):
-        kids = ",".join(str(a) for a in sorted(new.child_ports)) or "-"
+        kids = self.kids[new.child_ports]
         if not old.tree_joined and new.tree_joined:
             if new.status == STATUS_LEADER:
                 return f"root children={kids}"
@@ -293,29 +326,30 @@ class RenumberProtocol:
 
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
-        self.d = degree(config.kind)
-
-    def _send_children(self, state):
-        return [(a, (RENUMBER, a)) for a in sorted(state.child_ports)]
+        d = self.d = degree(config.kind)
+        self.opposite = tuple(opposite_port(config.kind, a) for a in range(d))
+        self.sends = _PerPortSet(
+            lambda ports: tuple((a, (RENUMBER, a)) for a in sorted(ports))
+        )
 
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
             if state.renumber_done:
                 return state, (), 0
-            return _evolve(state, renumber_done=True), self._send_children(state), 0
+            return _evolve(state, renumber_done=True), self.sends[state.child_ports], 0
         if state.renumber_done or not inbox:
             return state, (), 0
-        m = inbox[0]
-        b = m.payload[1]
-        shift = (opposite_port(self.kind, b) - m.via_port) % self.d
+        d = self.d
+        via, (_, b) = inbox[0]
+        shift = (self.opposite[b] - via) % d
         new = _evolve(
             state,
             renumber_done=True,
-            frame_offset=(state.frame_offset - shift) % self.d,
-            parent_port=(state.parent_port + shift) % self.d,
-            child_ports=frozenset((a + shift) % self.d for a in state.child_ports),
+            frame_offset=(state.frame_offset - shift) % d,
+            parent_port=(state.parent_port + shift) % d,
+            child_ports=frozenset((a + shift) % d for a in state.child_ports),
         )
-        return new, self._send_children(new), 1
+        return new, self.sends[new.child_ports], 1
 
     def describe(self, old, new):
         if new.status == STATUS_LEADER:
@@ -336,36 +370,32 @@ class IdsProtocol:
 
     def __init__(self, config: ParticleConfig, k: int):
         self.kind = config.kind
-        self.k = k
         self.d = degree(config.kind)
         self.pattern = pattern(config.kind, k)
+        self.receive = receive_update(config.kind, k)
+        self.order = _PerPortSet(lambda ports: tuple(sorted(ports)))
 
-    def _assign(self, state, i, j):
-        return _evolve(
+    def step(self, p, state, inbox, states):
+        if state.status == STATUS_LEADER:
+            if state.ids_done:
+                return state, (), 0
+            i, j, accepted = 0, 0, 0
+        elif state.ids_done or not inbox:
+            return state, (), 0
+        else:
+            via, (_, i, j) = inbox[0]
+            canon = (via + state.frame_offset) % self.d
+            i, j = self.receive((i, j), canon)
+            accepted = 1
+        new = _evolve(
             state,
             ids_done=True,
             coord_i=i,
             coord_j=j,
             local_id=color_at(self.pattern, i, j),
         )
-
-    def step(self, p, state, inbox, states):
-        if state.status == STATUS_LEADER:
-            if state.ids_done:
-                return state, (), 0
-            new = self._assign(state, 0, 0)
-            outbox = [(a, (IDS, 0, 0)) for a in sorted(state.child_ports)]
-            return new, outbox, 0
-        if state.ids_done or not inbox:
-            return state, (), 0
-        m = inbox[0]
-        canon = (m.via_port + state.frame_offset) % self.d
-        i, j = coord_update_receive(
-            self.kind, self.k, (m.payload[1], m.payload[2]), canon
-        )
-        new = self._assign(state, i, j)
-        outbox = [(a, (IDS, i, j)) for a in sorted(state.child_ports)]
-        return new, outbox, 1
+        payload = (IDS, i, j)
+        return new, [(a, payload) for a in self.order[state.child_ports]], accepted
 
     def describe(self, old, new):
         return f"coords=({new.coord_i},{new.coord_j}) id={new.local_id}"
@@ -469,20 +499,8 @@ def tree_parent(kind: GridKind, states: dict, p: Coord) -> Optional[Coord]:
 
 def tree_children(kind: GridKind, states: dict, p: Coord) -> list:
     s = states[p]
-    dirs = directions(kind)
-    out = []
-    for a in sorted(s.child_ports):
-        di, dj = dirs[(a + s.frame_offset) % len(dirs)]
-        out.append((p[0] + di, p[1] + dj))
-    return out
-
-
-def tree_edges(kind: GridKind, states: dict) -> set:
-    return {
-        frozenset((p, tree_parent(kind, states, p)))
-        for p in states
-        if states[p].parent_port is not None
-    }
+    hop = port_steps(kind)[s.frame_offset]
+    return [(p[0] + hop[a][0], p[1] + hop[a][1]) for a in sorted(s.child_ports)]
 
 
 def tree_height(kind: GridKind, states: dict) -> int:
@@ -490,15 +508,21 @@ def tree_height(kind: GridKind, states: dict) -> int:
     root = leader_of(states)
     if root is None:
         raise ValueError("no leader")
+    steps = port_steps(kind)
     depth = {root: 1}
     queue = [root]
     while queue:
         p = queue.pop()
-        for q in tree_children(kind, states, p):
+        s = states[p]
+        hop = steps[s.frame_offset]
+        level = depth[p] + 1
+        for a in sorted(s.child_ports):
+            di, dj, _ = hop[a]
+            q = (p[0] + di, p[1] + dj)
             if q not in states:
                 raise ValueError(f"child {q} of {p} is not a particle")
             if q not in depth:
-                depth[q] = depth[p] + 1
+                depth[q] = level
                 queue.append(q)
     if len(depth) != len(states):
         raise ValueError("tree does not span the system")

@@ -290,7 +290,13 @@ def color_table(kind, k, rows, cols):
 
 @cli.command()
 @click.argument("config_path", type=click.Path(exists=False))
-@click.option("--limit", type=int, default=18, help="largest tree size searched")
+@click.option(
+    "--limit",
+    type=int,
+    default=18,
+    help="largest config searched; the search is exponential on solid shapes "
+    "(a 7x7 block takes 30-45 s)",
+)
 def bound(config_path, limit):
     """Print r, mtree, and the election round bound for a small config."""
     doc = _load_doc(config_path)

@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import eq
 from typing import Optional
 
-from .grid import Coord, GridKind, distance, port_direction
+from .grid import Coord, GridKind, degree, distance, port_direction
 
 
 def color_count(kind: GridKind, k: int) -> int:
@@ -98,16 +98,28 @@ def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
 def coord_update_receive(
     kind: GridKind, k: int, coords: Coord, a: int
 ) -> Coord:
-    """Receiver's tracked coordinates, given the sender's and the port of receipt.
+    """Receiver's tracked coordinates, given the sender's and the port of receipt."""
+    port_direction(kind, a)  # raises ValueError for a port out of range
+    return receive_update(kind, k)(coords, a)
+
+
+def receive_update(kind: GridKind, k: int):
+    """`coord_update_receive` of one grid and k, its port directions and
+    tracking modulus looked up once: `update(coords, a)`.
 
     The receiving port a points back at the sender, so the receiver sits
     one step against that direction; both axes reduce modulo the
     tracking modulus.
     """
-    di, dj = port_direction(kind, a)
+    dirs = [port_direction(kind, a) for a in range(degree(kind))]
     m = tracking_modulus(kind, k)
-    i, j = coords
-    return (i - di) % m, (j - dj) % m
+
+    def update(coords: Coord, a: int) -> Coord:
+        di, dj = dirs[a]
+        i, j = coords
+        return (i - di) % m, (j - dj) % m
+
+    return update
 
 
 # ---------------------------------------------------------------------------

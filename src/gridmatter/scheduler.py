@@ -8,8 +8,7 @@ current neighborhood, and may change the particle's state and emit
 messages.  Messages land in the receiver's inbox immediately and are
 consumed at its next activation.  Since activations never overlap, the
 model's requirement that no two computations at distance two or less run
-simultaneously holds trivially; `check_exclusion` exists to vet
-hypothetical concurrent groupings of a recorded trace.
+simultaneously holds trivially.
 
 Each algorithm of a pipeline runs to quiescence (one full round with no
 state change and no message traffic) before the next starts.  Identical
@@ -30,13 +29,13 @@ from __future__ import annotations
 import operator
 import random
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import algorithms
-from .grid import Coord, GridKind, directions, distance
+from .grid import Coord, GridKind
 from .particles import ParticleConfig
 
 POLICY_ROUND_ROBIN = "round_robin"
@@ -61,11 +60,6 @@ class Schedule:
     policy: str = POLICY_ROUND_ROBIN
     seed: int = 0
     orders: Optional[tuple[tuple[Coord, ...], ...]] = None
-
-
-class Message(NamedTuple):
-    via_port: int  # receiver's local port of arrival
-    payload: tuple
 
 
 @dataclass(frozen=True)
@@ -245,12 +239,12 @@ def run(
     rng = random.Random(schedule.seed)
 
     states = algorithms.initial_states(config)
-    inboxes: dict[Coord, list[Message]] = {p: [] for p in particles}
+    # mail as (receiver's local port of arrival, payload) pairs
+    inboxes: dict[Coord, list[tuple[int, tuple]]] = {p: [] for p in particles}
     trace = RunTrace(kind=config.kind, coords=tuple(particles))
     reports: list[AlgorithmReport] = []
-    dirs = directions(config.kind)
-    d = len(dirs)
-    half = d // 2  # opposite_port is a half turn
+    steps = algorithms.port_steps(config.kind)
+    d = len(steps)
 
     for name in pipeline:
         proto = algorithms.make_protocol(name, config, k)
@@ -289,15 +283,17 @@ def run(
                     round_changed = True
                     awake.update(wakes(p, state, new_state, states))
                 phase_msgs += accepted
-                for local_port, payload in outbox:
-                    canon = (local_port + new_state.frame_offset) % d
-                    di, dj = dirs[canon]
-                    target = (p[0] + di, p[1] + dj)
-                    # the receiver's local label of the reverse edge
-                    via = (canon + half - states[target].frame_offset) % d
-                    inboxes[target].append(Message(via, payload))
-                    awake.add(target)
-                    round_sends += 1
+                if outbox:
+                    i, j = p
+                    hop = steps[new_state.frame_offset]
+                    for local_port, payload in outbox:
+                        di, dj, back = hop[local_port]
+                        target = (i + di, j + dj)
+                        # the receiver's local label of the reverse edge
+                        via = (back - states[target].frame_offset) % d
+                        inboxes[target].append((via, payload))
+                        awake.add(target)
+                    round_sends += len(outbox)
                 if record and (changed or outbox):
                     changes[pos] = (
                         proto.describe(state, new_state) if changed else "-",
@@ -322,38 +318,3 @@ def run(
             )
         )
     return RunResult(states=states, trace=trace, reports=reports)
-
-
-def count_rounds(trace: RunTrace) -> int:
-    """Completed rounds, recomputed from the activation sequence alone."""
-    universe = set(trace.coords)
-    pending = set(universe)
-    completed = 0
-    for r in trace.log:
-        for p in r.order:
-            pending.discard(p)
-            if not pending:
-                completed += 1
-                pending = set(universe)
-    return completed
-
-
-def check_exclusion(
-    trace: RunTrace, groups: Iterable[Iterable[int]]
-) -> list[tuple[int, Coord, Coord]]:
-    """Distance-2 exclusion audit for hypothetical concurrent batches.
-
-    Each group is a collection of event indices meant to run together;
-    every pair of activated particles within a group at grid distance
-    two or less is reported.
-    """
-    activated = [p for r in trace.log for p in r.order]
-    violations = []
-    for batch_index, group in enumerate(groups):
-        coords = [activated[i] for i in group]
-        for x in range(len(coords)):
-            for y in range(x + 1, len(coords)):
-                a, b = coords[x], coords[y]
-                if distance(trace.kind, a, b) <= 2:
-                    violations.append((batch_index, a, b))
-    return violations

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from . import algorithms
 from .coloring import color_count, tracking_modulus
-from .grid import GridKind, directions, distance, opposite_port
+from .grid import GridKind, distance
 from .particles import ParticleConfig, find_holes, make_config
 
 
@@ -26,33 +26,34 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
     if stragglers:
         violations.append(f"non-retired={len(stragglers)}")
 
-    # tree shape and reciprocity, from each particle's parent cell and
-    # the cell behind each of its child ports
-    dirs = directions(kind)
-    d = len(dirs)
-
-    def cell(p, s, port):
-        di, dj = dirs[(port + s.frame_offset) % d]
-        return (p[0] + di, p[1] + dj)
-
-    parent = {
-        p: algorithms.tree_parent(kind, states, p)
-        for p, s in states.items()
-        if s.parent_port is not None
-    }
-    child_port = {
-        p: {cell(p, s, a): a for a in s.child_ports} for p, s in states.items()
-    }
+    # tree shape and reciprocity, from each particle's parent cell q and
+    # the child port of q that faces it, if q lists one; `back` is the
+    # canonical port by which q reaches it
+    steps = algorithms.port_steps(kind)
+    d = len(steps)
+    opposite = [r for _, _, r in steps[0]]  # opposite_port, in frame 0
+    parent = {}
+    for p, s in states.items():
+        if s.parent_port is None:
+            continue
+        di, dj, back = steps[s.frame_offset][s.parent_port]
+        q = (p[0] + di, p[1] + dj)
+        a = None
+        if q in states:
+            a = (back - states[q].frame_offset) % d
+            if a not in states[q].child_ports:
+                a = None
+        parent[p] = q, a
     if len(parent) != config.n - 1 or leader in parent:
         violations.append("tree-parent-count")
     try:
         algorithms.tree_height(kind, states)
     except ValueError as exc:
         violations.append(f"tree-span: {exc}")
-    for p, q in parent.items():
+    for p, (q, a) in parent.items():
         if q not in config.occupied:
             violations.append(f"tree-parent-off-system: {p}")
-        elif p not in child_port[q]:
+        elif a is None:
             violations.append(f"tree-reciprocity: {p}<->{q}")
 
     # frame agreement: equal offsets, and labels across every tree edge
@@ -61,10 +62,8 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
     for p, s in states.items():
         if s.frame_offset != want:
             violations.append(f"frame-offset: {p}")
-    for p, q in parent.items():
-        if q in child_port and child_port[q].get(p) != opposite_port(
-            kind, states[p].parent_port
-        ):
+    for p, (q, a) in parent.items():
+        if q in states and a != opposite[states[p].parent_port]:
             violations.append(f"port-reciprocity: {p}<->{q}")
 
     # identifier soundness
@@ -81,21 +80,22 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
         if s.coord_i != (p[0] - leader[0]) % m or s.coord_j != (p[1] - leader[1]) % m:
             violations.append(f"coords: {p}")
     # a pair within distance k is within k on each axis, and q > p holds
-    # exactly for the offsets after (0, 0); taken in lexicographic order,
-    # they list each p's partners q > p in sorted order
+    # exactly for the offsets after (0, 0), so each pair is found once,
+    # from its least member p
     half = [
         (di, dj)
         for di in range(k + 1)
         for dj in range(-k, k + 1)
         if (di, dj) > (0, 0)
     ]
-    for p in sorted(ids):
-        mine = ids[p]
+    collisions = []
+    for p, mine in ids.items():
         i, j = p
         for di, dj in half:
             q = (i + di, j + dj)
             if ids.get(q) == mine and distance(kind, p, q) <= k:
-                violations.append(f"id-collision: {p} {q}")
+                collisions.append((p, q))
+    violations += [f"id-collision: {p} {q}" for p, q in sorted(collisions)]
     return violations
 
 

@@ -9,12 +9,13 @@ from gridmatter.algorithms import (
     STATUS_LEADER,
     STATUS_NON_CANDIDATE,
     ElectProtocol,
+    ParticleState,
+    TreeProtocol,
     classify_boundary,
     id_histogram,
     initial_states,
     leader_of,
     tree_children,
-    tree_edges,
     tree_height,
     tree_parent,
     update_id_after_move,
@@ -242,6 +243,14 @@ def _full_run(kind, cells, k=1, seed=0, offsets=None, policy=POLICY_RANDOM):
     return cfg, run(cfg, PIPELINE_FULL, Schedule(policy, seed=seed), k=k)
 
 
+def tree_edges(kind, states):
+    return {
+        frozenset((p, tree_parent(kind, states, p)))
+        for p in states
+        if states[p].parent_port is not None
+    }
+
+
 def test_tree_spans_with_reciprocal_pointers():
     cfg, res = _full_run("square", [(i, 0) for i in range(5)])
     states = res.states
@@ -292,6 +301,31 @@ def test_tree_helpers_reject_disconnected_pointers():
     )
     with pytest.raises(ValueError):
         tree_height(cfg.kind, states)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tree_describe_formats_every_child_port_subset(kind):
+    # describe caches the child-port text of each port set per protocol;
+    # the second pass reads every entry back from that cache
+    d = degree(kind)
+    proto = TreeProtocol(make_config(kind, [(0, 0)]))
+    unjoined, unjoined_root = ParticleState(), ParticleState(status=STATUS_LEADER)
+    for _ in range(2):
+        for mask in range(1 << d):
+            ports = frozenset(a for a in range(d) if mask >> a & 1)
+            kids = ",".join(str(a) for a in sorted(ports)) or "-"
+            joined = ParticleState(
+                status=STATUS_NON_CANDIDATE, tree_joined=True, parent_port=mask % d,
+                child_ports=ports,
+            )
+            root = ParticleState(status=STATUS_LEADER, tree_joined=True, child_ports=ports)
+            full = ParticleState(tree_joined=True, child_ports=frozenset(range(d)))
+            assert proto.describe(unjoined, joined) == (
+                f"join parent={mask % d} children={kids}"
+            )
+            assert proto.describe(unjoined_root, root) == f"root children={kids}"
+            assert proto.describe(full, joined) == f"prune children={kids}"
+            assert proto.describe(full, root) == f"prune children={kids}"
 
 
 # ---------------------------------------------------------------------------

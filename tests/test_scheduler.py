@@ -15,18 +15,15 @@ from gridmatter.scheduler import (
     POLICY_RANDOM,
     POLICY_ROUND_ROBIN,
     AlgorithmReport,
-    Message,
     RunTrace,
     Schedule,
     SimulationError,
     TraceEvent,
     TraceRound,
     _order_for_round,
-    check_exclusion,
-    count_rounds,
     run,
 )
-from gridmatter.grid import GridKind, directions
+from gridmatter.grid import GridKind, directions, distance
 from gridmatter.shapes import gen_blob, gen_rect, random_offsets
 
 TWO = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -137,6 +134,39 @@ def _trace_with(coords, order):
     # one round of no-op activations in the given order
     return RunTrace(kind=GridKind.SQUARE, coords=tuple(coords),
                     log=[TraceRound(0, "elect", list(order), {})])
+
+
+def count_rounds(trace):
+    """Completed rounds, recomputed from the activation sequence alone."""
+    universe = set(trace.coords)
+    pending = set(universe)
+    completed = 0
+    for r in trace.log:
+        for p in r.order:
+            pending.discard(p)
+            if not pending:
+                completed += 1
+                pending = set(universe)
+    return completed
+
+
+def check_exclusion(trace, groups):
+    """Distance-2 exclusion audit for hypothetical concurrent batches.
+
+    Each group is a collection of event indices meant to run together;
+    every pair of activated particles within a group at grid distance
+    two or less is reported as (group index, a, b).
+    """
+    activated = [p for r in trace.log for p in r.order]
+    violations = []
+    for batch_index, group in enumerate(groups):
+        coords = [activated[i] for i in group]
+        for x in range(len(coords)):
+            for y in range(x + 1, len(coords)):
+                a, b = coords[x], coords[y]
+                if distance(trace.kind, a, b) <= 2:
+                    violations.append((batch_index, a, b))
+    return violations
 
 
 def test_count_rounds_requires_full_coverage():
@@ -286,6 +316,63 @@ def test_golden_trace_digests(kind, shape):
         assert _states_text(quiet.states) == _states_text(res.states)
     got = (text.hexdigest(), reports.hexdigest(), states.hexdigest())
     assert got == GOLDEN[(kind, shape)]
+
+
+# The work of the golden runs, summed per grid over their shapes, k and
+# schedules: per phase, the step calls the engine makes and how many of
+# them return a new state, then the reports' active rounds, total rounds,
+# sends and accepted messages.  Equal counts and equal digests show that
+# a change to the engine or the steps did the same work.
+WORK = {
+    "square": {
+        "elect": (942, 660, 62, 80, 0, 0),
+        "tree": (992, 992, 98, 116, 1008, 642),
+        "renumber": (660, 660, 96, 114, 642, 642),
+        "ids": (660, 660, 96, 114, 642, 642),
+    },
+    "triangular": {
+        "elect": (826, 660, 46, 64, 0, 0),
+        "tree": (1224, 1224, 96, 114, 1428, 642),
+        "renumber": (660, 660, 94, 112, 642, 642),
+        "ids": (660, 660, 92, 110, 642, 642),
+    },
+    "king": {
+        "elect": (824, 660, 54, 72, 0, 0),
+        "tree": (1216, 1216, 82, 100, 1806, 642),
+        "renumber": (660, 660, 78, 96, 642, 642),
+        "ids": (660, 660, 78, 96, 642, 642),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORK))
+def test_golden_runs_do_the_pinned_work(kind, monkeypatch):
+    make_protocol = algorithms.make_protocol
+    work = {name: [0] * 6 for name in PIPELINE_FULL}
+
+    def counted_protocol(name, config, k=1):
+        proto = make_protocol(name, config, k)
+        tally = work[name]
+
+        def step(p, state, inbox, states):
+            out = proto.step(p, state, inbox, states)
+            tally[0] += 1
+            tally[1] += out[0] is not state
+            return out
+
+        # only step and describe, as a wrapping benchmark tracer exposes
+        return SimpleNamespace(step=step, describe=proto.describe)
+
+    monkeypatch.setattr(algorithms, "make_protocol", counted_protocol)
+    for shape in ("rect5x4", "blob30", "blob60"):
+        for _, _, _, res in _golden_runs(GridKind(kind), shape):
+            for r in res.reports:
+                tally = work[r.name]
+                tally[2] += r.rounds_active
+                tally[3] += r.rounds_total
+                tally[4] += r.sends
+                tally[5] += r.messages
+    assert {name: tuple(tally) for name, tally in work.items()} == WORK[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +590,7 @@ def _reference_run(config, pipeline, schedule, k):
                     canon = (port + new.frame_offset) % d
                     q = (p[0] + dirs[canon][0], p[1] + dirs[canon][1])
                     via = (canon + d // 2 - states[q].frame_offset) % d
-                    inboxes[q].append(Message(via_port=via, payload=payload))
+                    inboxes[q].append((via, payload))
                 round_sends += len(outbox)
                 transition = proto.describe(state, new) if changed else "-"
                 lines.append(

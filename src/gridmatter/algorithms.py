@@ -1,12 +1,16 @@
 """Local algorithms: leader election, spanning tree, frame agreement, ids.
 
 Every algorithm is written as a protocol object with a pure step
-function: given the particle's state and inbox, a list of
-(via_port, payload) pairs, it returns the next state, the messages to
-emit as (local port, payload) pairs, and how many it accepted.  Port
-numbers held in particle state (parent_port, child_ports) are always in
-the particle's own frame; the engine translates to the receiver's frame
-on delivery.  Each protocol builds its per-grid tables once, at
+function `step(p, state, inbox, states)`.  The engine keys every cell by
+the int i * w + j of `particles.key_width`, so p is such a key, `states`
+maps the particles' keys to their states, and the cell (di, dj) away
+from p is the key p + di * w + dj.  Given the particle's state and
+inbox, a list of (via_port, payload) pairs, a step returns the next
+state, the messages to emit as (local port, payload) pairs, how many it
+accepted, and the keys of the particles its change wakes.  Port numbers
+held in particle state (parent_port, child_ports) are always in the
+particle's own frame; the engine translates to the receiver's frame on
+delivery.  Each protocol builds its per-grid tables once, at
 construction.
 
 A step must return the identical state object when nothing changed;
@@ -19,12 +23,13 @@ or send.  Steps are idempotent: stepped again on an empty inbox with its
 read cells unchanged, a particle changes nothing and sends nothing.
 
 The engine relies on these contracts to step a particle only when it
-has mail or a change may have given it something to do.  Each
-algorithm's `wake_rule` names whom a change of p wakes:
-- elect: the candidates in p's slot cells;
-- tree: on a join of p, the joined neighbours except the one p's parent
-  port faces; on a prune, nobody.  Of a neighbour, a tree step reads
-  only whether it has joined and, through
+has mail or a change may have given it something to do.  A step that
+changes nothing wakes nobody; a change of p wakes:
+- elect: the candidates in p's slot cells, which its mask has just read;
+- tree: on a join of p, the neighbours whose mail p took, except its
+  parent: those are all its joined neighbours (see below), and each
+  holds p as a child.  On a prune, nobody.  Of a neighbour, a tree step
+  reads only whether it has joined and, through
   `ParticleState.parent_direction`, whether its parent port faces the
   reader, and only a join changes that;
 - renumber and ids: nobody, as their steps read no other cell.
@@ -106,8 +111,9 @@ def _evolve(state: ParticleState, **changes) -> ParticleState:
 def port_steps(kind: GridKind) -> tuple:
     """Per frame offset f, per local port a: (di, dj, r), the lattice step
     through a, and r, the canonical port by which the neighbour there
-    reaches back (`opposite_port`).  The one direction table of the
-    engine, the tree step, `tree_height` and `verify_run`."""
+    reaches back (`opposite_port`).  The one direction table of
+    `port_keys` (so of the engine and the tree step), `tree_height` and
+    `verify_run`."""
     dirs = directions(kind)
     d = len(dirs)
     return tuple(
@@ -116,10 +122,25 @@ def port_steps(kind: GridKind) -> tuple:
     )
 
 
+@lru_cache(maxsize=64)
+def port_keys(kind: GridKind, w: int) -> tuple:
+    """`port_steps` on int cell keys of width `w`: per frame offset, per
+    local port, (di * w + dj, r)."""
+    return tuple(
+        tuple((di * w + dj, back) for di, dj, back in hop) for hop in port_steps(kind)
+    )
+
+
+@lru_cache(maxsize=None)
+def start_states(kind: GridKind) -> tuple[ParticleState, ...]:
+    """The initial state per frame offset: immutable, so every particle
+    with that offset shares it, in every run."""
+    return tuple(ParticleState(frame_offset=f) for f in range(degree(kind)))
+
+
 def initial_states(config: ParticleConfig) -> dict:
-    # states are immutable, so particles with equal offsets share one
-    by_offset = [ParticleState(frame_offset=f) for f in range(degree(config.kind))]
-    return {p: by_offset[config.offset(p)] for p in config.particles()}
+    start = start_states(config.kind)
+    return {p: start[config.offset(p)] for p in config.particles()}
 
 
 def read_offsets(name: str, kind: GridKind) -> tuple[Coord, ...]:
@@ -143,58 +164,6 @@ CAN_ACT = {
 }
 
 
-def _wake_none(p, old, new, states):
-    return ()
-
-
-def wake_rule(name: str, kind: GridKind):
-    """`wakes(p, old, new, states)`: the particles that p's change from
-    `old` to `new` can make act on an empty inbox, read from `states`
-    after the change.  Every other particle's next step on an empty
-    inbox would change nothing and send nothing."""
-    if name == ELECT:
-        slots = read_offsets(ELECT, kind)
-
-        def wakes(p, old, new, states):
-            i, j = p
-            get = states.get
-            out = []
-            for di, dj in slots:
-                q = (i + di, j + dj)
-                qs = get(q)
-                if qs is not None and qs.status == STATUS_CANDIDATE:
-                    out.append(q)
-            return out
-
-        return wakes
-    if name == TREE:
-        dirs = directions(kind)
-        d = len(dirs)
-
-        def wakes(p, old, new, states):
-            if old.tree_joined:
-                return ()  # a prune: no neighbour reads child ports
-            # every joined neighbour holds p as a child (see the module
-            # docstring); the root has no parent port, so it skips none
-            parent = new.parent_direction(d)
-            i, j = p
-            get = states.get
-            out = []
-            for c, (di, dj) in enumerate(dirs):
-                if c == parent:
-                    continue
-                q = (i + di, j + dj)
-                qs = get(q)
-                if qs is not None and qs.tree_joined:
-                    out.append(q)
-            return out
-
-        return wakes
-    if name in (RENUMBER, IDS):
-        return _wake_none
-    raise ValueError(f"unknown algorithm {name!r}")
-
-
 class ElectProtocol:
     """Candidate elimination by local contraction tests.
 
@@ -212,40 +181,48 @@ class ElectProtocol:
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
         self.table = removal_table(config.kind)
+        w = config.key_width
         self.slots = tuple(
-            (bit, di, dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
+            (bit, di * w + dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
         )
         self.port_bits = (1 << degree(config.kind)) - 1
+        # (id(state), status) -> (state, its successor); holding the
+        # state keeps its id from naming another while the table lives
+        self.successors: dict[tuple[int, str], tuple] = {}
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
-            return state, (), 0
-        i, j = p
+            return state, (), 0, ()
         get = states.get
         mask = 0
-        for bit, di, dj in self.slots:
-            qs = get((i + di, j + dj))  # None on an empty cell
+        for bit, o in self.slots:
+            qs = get(p + o)  # None on an empty cell
             if qs is not None and qs.status == STATUS_CANDIDATE:
                 mask |= bit
         if not self.table[mask]:
-            return state, (), 0
+            return state, (), 0, ()
         # a candidate neighbor through a port (not a corner) means others remain
         status = STATUS_NON_CANDIDATE if mask & self.port_bits else STATUS_LEADER
-        return _evolve(state, status=status), (), 0
+        key = (id(state), status)
+        if key not in self.successors:
+            self.successors[key] = (state, _evolve(state, status=status))
+        woken = [p + o for bit, o in self.slots if mask & bit]
+        return self.successors[key][1], (), 0, woken
 
     def describe(self, old, new):
         return f"{old.status}->{new.status}"
 
 
 class _PerPortSet(dict):
-    """A value per child-port set, made by `make` on first use."""
+    """A value per child-port set (or per such set and a shift), made by
+    `make` on first use."""
 
     def __init__(self, make):
         super().__init__()
         self.make = make
 
-    def __missing__(self, ports):
-        value = self[ports] = self.make(ports)
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
         return value
 
 
@@ -264,15 +241,14 @@ class TreeProtocol:
 
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
-        self.ports = port_steps(config.kind)
+        self.ports = port_keys(config.kind, config.key_width)
         d = self.d = len(self.ports)
         self.sends = tuple((a, (TREE,)) for a in range(d))
         self.kids = _PerPortSet(lambda ports: ",".join(map(str, sorted(ports))) or "-")
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined and not inbox and state.status != STATUS_LEADER:
-            return state, (), 0
-        i, j = p
+            return state, (), 0, ()
         hop = self.ports[state.frame_offset]
         if not state.tree_joined:
             got = 0  # the ports mail came through, as bits
@@ -280,8 +256,8 @@ class TreeProtocol:
                 got |= 1 << via
             kids = [
                 a
-                for a, (di, dj, _) in enumerate(hop)
-                if not got >> a & 1 and (i + di, j + dj) in states
+                for a, (o, _) in enumerate(hop)
+                if not got >> a & 1 and p + o in states
             ]
             new = _evolve(
                 state,
@@ -289,19 +265,22 @@ class TreeProtocol:
                 parent_port=inbox[0][0] if inbox else None,
                 child_ports=frozenset(kids),
             )
-            return new, [self.sends[a] for a in kids], 1 if inbox else 0
+            # every sender but the parent now finds p joined under a
+            # parent port that does not face it
+            woken = [p + hop[via][0] for via, _ in inbox[1:]]
+            return new, [self.sends[a] for a in kids], 1 if inbox else 0, woken
         # joined, so its inbox is empty: keep each child unless it has
         # joined under a parent port that does not face p
         d = self.d
         kept = []
         for a in state.child_ports:
-            di, dj, back = hop[a]
-            qs = states[(i + di, j + dj)]
+            o, back = hop[a]
+            qs = states[p + o]
             if not qs.tree_joined or qs.parent_direction(d) == back:
                 kept.append(a)
         if len(kept) == len(state.child_ports):
-            return state, (), 0
-        return _evolve(state, child_ports=frozenset(kept)), (), 0
+            return state, (), 0, ()
+        return _evolve(state, child_ports=frozenset(kept)), (), 0, ()
 
     def describe(self, old, new):
         kids = self.kids[new.child_ports]
@@ -327,18 +306,23 @@ class RenumberProtocol:
     def __init__(self, config: ParticleConfig):
         self.kind = config.kind
         d = self.d = degree(config.kind)
-        self.opposite = tuple(opposite_port(config.kind, a) for a in range(d))
+        # at frame offset 0 a local port is the canonical one
+        self.opposite = tuple(back for _, _, back in port_steps(config.kind)[0])
         self.sends = _PerPortSet(
             lambda ports: tuple((a, (RENUMBER, a)) for a in sorted(ports))
+        )
+        self.rotated = _PerPortSet(
+            lambda key: frozenset((a + key[1]) % d for a in key[0])
         )
 
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
             if state.renumber_done:
-                return state, (), 0
-            return _evolve(state, renumber_done=True), self.sends[state.child_ports], 0
+                return state, (), 0, ()
+            new = _evolve(state, renumber_done=True)
+            return new, self.sends[state.child_ports], 0, ()
         if state.renumber_done or not inbox:
-            return state, (), 0
+            return state, (), 0, ()
         d = self.d
         via, (_, b) = inbox[0]
         shift = (self.opposite[b] - via) % d
@@ -347,9 +331,9 @@ class RenumberProtocol:
             renumber_done=True,
             frame_offset=(state.frame_offset - shift) % d,
             parent_port=(state.parent_port + shift) % d,
-            child_ports=frozenset((a + shift) % d for a in state.child_ports),
+            child_ports=self.rotated[state.child_ports, shift],
         )
-        return new, self.sends[new.child_ports], 1
+        return new, self.sends[new.child_ports], 1, ()
 
     def describe(self, old, new):
         if new.status == STATUS_LEADER:
@@ -378,10 +362,10 @@ class IdsProtocol:
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
             if state.ids_done:
-                return state, (), 0
+                return state, (), 0, ()
             i, j, accepted = 0, 0, 0
         elif state.ids_done or not inbox:
-            return state, (), 0
+            return state, (), 0, ()
         else:
             via, (_, i, j) = inbox[0]
             canon = (via + state.frame_offset) % self.d
@@ -395,7 +379,7 @@ class IdsProtocol:
             local_id=color_at(self.pattern, i, j),
         )
         payload = (IDS, i, j)
-        return new, [(a, payload) for a in self.order[state.child_ports]], accepted
+        return new, [(a, payload) for a in self.order[state.child_ports]], accepted, ()
 
     def describe(self, old, new):
         return f"coords=({new.coord_i},{new.coord_j}) id={new.local_id}"

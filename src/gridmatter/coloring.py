@@ -103,6 +103,7 @@ def coord_update_receive(
     return receive_update(kind, k)(coords, a)
 
 
+@lru_cache(maxsize=None)
 def receive_update(kind: GridKind, k: int):
     """`coord_update_receive` of one grid and k, its port directions and
     tracking modulus looked up once: `update(coords, a)`.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .grid import Coord, GridKind, degree, directions, neighbors
@@ -53,6 +53,12 @@ class ParticleConfig:
 
     def offset(self, p: Coord) -> int:
         return self.frame_offsets.get(p, 0)
+
+    @cached_property
+    def key_width(self) -> int:
+        """`key_width` of the occupied vertices, computed once: the width
+        of the int cell keys the engine and the protocols share."""
+        return key_width(self.occupied)
 
 
 def make_config(
@@ -90,15 +96,23 @@ def validate_config(config: ParticleConfig) -> list[str]:
     return problems
 
 
+def key_width(cells: Iterable[Coord]) -> int:
+    """w for the int cell keys i * w + j: two more than the span of the
+    cells' j values, so a step (di, dj) adds di * w + dj.  Two cells
+    within one step of `cells` share a key only at j one below the least
+    and one above the greatest, neither of them in `cells`: so a key
+    read at p + di * w + dj finds a cell of `cells` only at (di, dj)."""
+    js = [j for _, j in cells]
+    return max(js) - min(js) + 2
+
+
 def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
-    """A search over the int keys i * w + j of the cells, w two more than
-    the span of the j's, so a step (di, dj) adds di * w + dj.  It pops
+    """A search over the int keys of the cells (`key_width`).  It pops
     the keys it reaches from a set of them: memory O(len(cells)) however
     far apart the cells lie."""
     if not cells:
         return False
-    js = [j for _, j in cells]
-    w = max(js) - min(js) + 2
+    w = key_width(cells)
     todo = {i * w + j for i, j in cells}
     offsets = [di * w + dj for di, dj in directions(kind)]
     stack = [todo.pop()]

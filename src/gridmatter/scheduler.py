@@ -18,10 +18,15 @@ Only awake particles are stepped; a sleeping particle's activation is a
 no-op without the call, and a round stops being scanned once none is
 awake.  Every particle sleeps after its step, since steps are
 idempotent (see `algorithms`).  A delivery wakes the receiver, and a
-change wakes whom its algorithm's `wake_rule` names.  At the start of a
-phase the particles in a `CAN_ACT` state are awake.  None has mail: the
-last phase ended on a round with no sends, which stepped every particle
-with mail.
+change wakes the particles its step returns.  At the start of a phase
+the particles in a `CAN_ACT` state are awake.  None has mail: the last
+phase ended on a round with no sends, which stepped every particle with
+mail.
+
+Inside a run every cell is the int key of `particles.key_width`; the
+states, the trace and every error leave the engine in (i, j)
+coordinates, converted once per run, and a shuffled order only when its
+round is recorded.
 """
 
 from __future__ import annotations
@@ -179,11 +184,11 @@ class RunResult:
     reports: list[AlgorithmReport]
 
 
-def _shuffled(particles: list[Coord], rng: random.Random) -> list[Coord]:
-    """`rng.shuffle` of a copy of `particles`: the same getrandbits draws,
-    so the same permutation and rng state, inlined to save the method
-    call per draw."""
-    order = list(particles)
+def _shuffled(items: list, rng: random.Random) -> list:
+    """`rng.shuffle` of a copy of `items`: the same getrandbits draws, so
+    the same permutation and rng state, inlined to save the method call
+    per draw."""
+    order = list(items)
     getrandbits = rng.getrandbits
     for i in range(len(order) - 1, 0, -1):
         n = i + 1
@@ -236,28 +241,51 @@ def run(
     particles = config.particles()
     n = len(particles)
     cap = max_activations if max_activations is not None else 64 * n * max(2 * n, 8)
-    rng = random.Random(schedule.seed)
+    shuffles = schedule.policy == POLICY_RANDOM
+    rng = random.Random(schedule.seed) if shuffles else None
 
-    states = algorithms.initial_states(config)
+    w = config.key_width
+    keys = [i * w + j for i, j in particles]
+    coord_of: Optional[dict[int, Coord]] = None  # made for a recorded shuffle
+    # a fixed or explicit order is the same in every phase: per round
+    # index, checked on coordinates once, then keyed
+    fixed: dict[int, tuple[list[int], Sequence[Coord]]] = {}
+    start = algorithms.start_states(config.kind)
+    offset = config.frame_offsets.get
+    states = {q: start[offset(p, 0)] for p, q in zip(particles, keys)}
     # mail as (receiver's local port of arrival, payload) pairs
-    inboxes: dict[Coord, list[tuple[int, tuple]]] = {p: [] for p in particles}
+    inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
     trace = RunTrace(kind=config.kind, coords=tuple(particles))
     reports: list[AlgorithmReport] = []
-    steps = algorithms.port_steps(config.kind)
+    steps = algorithms.port_keys(config.kind, w)
     d = len(steps)
 
     for name in pipeline:
         proto = algorithms.make_protocol(name, config, k)
         step = proto.step
-        wakes = algorithms.wake_rule(name, config.kind)
         can_act = algorithms.CAN_ACT[name]
-        awake = {p for p in particles if can_act(states[p])}
+        awake = {q for q, s in states.items() if can_act(s)}
         phase_round = 0
         rounds_active = 0
         phase_msgs = 0
         phase_sends = 0
         while True:
-            order = _order_for_round(schedule, particles, phase_round, rng)
+            if shuffles:
+                # a shuffle's permutation depends only on the length, so
+                # the keys come out in the coordinates' order
+                order = shown = _order_for_round(schedule, keys, phase_round, rng)
+                if record:
+                    if coord_of is None:
+                        coord_of = dict(zip(keys, particles))
+                    shown = list(map(coord_of.__getitem__, order))
+            else:
+                if phase_round not in fixed:
+                    shown = _order_for_round(schedule, particles, phase_round, rng)
+                    fixed[phase_round] = (
+                        keys if shown is particles else [i * w + j for i, j in shown],
+                        shown,
+                    )
+                order, shown = fixed[phase_round]
             if trace.activations + len(order) > cap:
                 raise SimulationError(f"activation cap {cap} exceeded during {name}")
             trace.activations += len(order)
@@ -265,7 +293,7 @@ def run(
             round_sends = 0
             changes: dict[int, tuple[str, int]] = {}
             if record:
-                trace.log.append(TraceRound(trace.rounds + 1, name, order, changes))
+                trace.log.append(TraceRound(trace.rounds + 1, name, shown, changes))
             # only a step wakes a particle, so once none is awake the rest
             # of the round is no-ops: it is drawn, recorded and counted only
             for pos, p in enumerate(order if awake else ()):
@@ -275,20 +303,19 @@ def run(
                 if inbox:
                     inboxes[p] = []
                 state = states[p]
-                new_state, outbox, accepted = step(p, state, inbox, states)
+                new_state, outbox, accepted, woken = step(p, state, inbox, states)
                 awake.discard(p)
                 changed = new_state is not state
                 if changed:
                     states[p] = new_state
                     round_changed = True
-                    awake.update(wakes(p, state, new_state, states))
+                    awake.update(woken)
                 phase_msgs += accepted
                 if outbox:
-                    i, j = p
                     hop = steps[new_state.frame_offset]
                     for local_port, payload in outbox:
-                        di, dj, back = hop[local_port]
-                        target = (i + di, j + dj)
+                        o, back = hop[local_port]
+                        target = p + o
                         # the receiver's local label of the reverse edge
                         via = (back - states[target].frame_offset) % d
                         inboxes[target].append((via, payload))
@@ -317,4 +344,5 @@ def run(
                 sends=phase_sends,
             )
         )
-    return RunResult(states=states, trace=trace, reports=reports)
+    states_at = {p: states[q] for p, q in zip(particles, keys)}
+    return RunResult(states=states_at, trace=trace, reports=reports)

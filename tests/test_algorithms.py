@@ -88,10 +88,11 @@ def hole_free_blob(kind, n, seed):
 
 def test_single_particle_elects_itself():
     cfg = make_config("king", [(7, -3)])
-    states = initial_states(cfg)
-    assert states[(7, -3)].status == STATUS_CANDIDATE
-    new, _, _ = ElectProtocol(cfg).step((7, -3), states[(7, -3)], [], states)
-    assert new.status == STATUS_LEADER
+    state = initial_states(cfg)[(7, -3)]
+    assert state.status == STATUS_CANDIDATE
+    p = 7 * 2 - 3  # the int key i * w + j, w = 2 for a single column
+    new, _, _, woken = ElectProtocol(cfg).step(p, state, [], {p: state})
+    assert new.status == STATUS_LEADER and not woken
 
 
 def test_election_walkthrough_round_by_round():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
-from gridmatter.particles import make_config
+from gridmatter.particles import key_width, make_config
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
@@ -59,10 +59,16 @@ def test_different_seeds_may_change_orders_but_not_the_leader():
 
 def test_explicit_orders_must_cover_every_particle():
     cfg = make_config("square", TWO)
-    # one particle skipped; every particle named, and a cell with none
-    for order in (((0, 0), (0, 1), (1, 0)), (*TWO, (9, 9))):
-        with pytest.raises(SimulationError):
+    # one particle skipped; every particle named, and a cell with none;
+    # (1, 0) skipped for the empty cell (0, 3), whose int key is (1, 0)'s
+    # (w = 3), so the order's keys are exactly the particles' keys
+    bad = ((0, 0), (0, 1), (0, 3), (1, 1))
+    for order in (((0, 0), (0, 1), (1, 0)), (*TWO, (9, 9)), bad):
+        with pytest.raises(SimulationError) as err:
             run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(order,)))
+    assert str(err.value) == (
+        "explicit order for round 0 skips [(1, 0)], names empty cells [(0, 3)]"
+    )
 
 
 def test_explicit_orders_fall_back_to_sorted_when_exhausted():
@@ -378,10 +384,10 @@ def test_golden_runs_do_the_pinned_work(kind, monkeypatch):
 # ---------------------------------------------------------------------------
 # The engine steps only awake particles.  That is exact only while every
 # step reads nothing but its own state, its inbox and its algorithm's
-# `read_offsets` cells, only `CAN_ACT` states act on an empty inbox, and
-# steps are idempotent; the audit below checks all three on every
-# particle at every step call, and which fields a step reads of another
-# cell's state.
+# `read_offsets` cells, only `CAN_ACT` states act on an empty inbox,
+# steps are idempotent, and a change wakes every reader it can make act;
+# the audit below checks all four on every particle at every step call,
+# and which fields a step reads of another cell's state.
 
 # Per algorithm, the fields of other cells' states that its steps read.
 NEIGHBOUR_FIELDS = {
@@ -406,13 +412,16 @@ class FieldLog:
         return getattr(self._state, field)
 
 
-class ReadLog(dict):
-    """A states dict that records the keys read while `reads` is a set,
-    and the fields read of every cell but `me` into `fields`."""
+class ReadLog:
+    """A view of the engine's states dict for one step call of `me`: it
+    records the keys read into `reads`, and the fields read of every
+    cell but `me` into `fields`."""
 
-    reads = None
-    me = None
-    fields = None
+    def __init__(self, states, me):
+        self.states = states
+        self.me = me
+        self.reads = set()
+        self.fields = set()
 
     def _view(self, key, state):
         if key == self.me or state is None:
@@ -420,28 +429,22 @@ class ReadLog(dict):
         return FieldLog(state, self.fields)
 
     def __getitem__(self, key):
-        if self.reads is None:
-            return dict.__getitem__(self, key)
         self.reads.add(key)
-        return self._view(key, dict.__getitem__(self, key))
+        return self._view(key, self.states[key])
 
     def get(self, key, default=None):
-        if self.reads is None:
-            return dict.get(self, key, default)
         self.reads.add(key)
-        return self._view(key, dict.get(self, key, default))
+        return self._view(key, self.states.get(key, default))
 
     def __contains__(self, key):
-        if self.reads is not None:
-            self.reads.add(key)
-        return dict.__contains__(self, key)
+        self.reads.add(key)
+        return key in self.states
 
 
 def _whole(name):
     def method(self, *args):
-        if self.reads is not None:
-            self.reads.add(name)  # not a cell, so never an allowed read
-        return getattr(dict, name)(self, *args)
+        self.reads.add(name)  # not a cell, so never an allowed read
+        return getattr(self.states, name)(*args)
     return method
 
 
@@ -449,39 +452,55 @@ for _name in ("__iter__", "__len__", "keys", "values", "items", "copy"):
     setattr(ReadLog, _name, _whole(_name))
 
 
-def _audited_step(name, kind, step, counts):
-    offsets = algorithms.read_offsets(name, kind)
+def _no_op(out, state):
+    return out[0] is state and not out[1]
+
+
+def _audited_step(name, kind, w, step, counts):
+    offsets = [di * w + dj for di, dj in algorithms.read_offsets(name, kind)]
+    hops = algorithms.port_keys(kind, w)
     can_act = algorithms.CAN_ACT[name]
 
     def checked(p, state, inbox, states):
-        states.reads, states.me, states.fields = set(), p, set()
-        try:
-            out = step(p, state, inbox, states)
-        finally:
-            reads, fields = states.reads, states.fields
-            states.reads = states.me = states.fields = None
-        allowed = {p} | {(p[0] + di, p[1] + dj) for di, dj in offsets}
-        assert reads <= allowed, (name, p, sorted(map(str, reads - allowed)))
-        assert fields <= NEIGHBOUR_FIELDS[name], (name, p, fields)
-        counts["fields"][name] |= fields
+        view = ReadLog(states, p)
+        out = step(p, state, inbox, view)
+        allowed = {p} | {p + o for o in offsets}
+        assert view.reads <= allowed, (name, p, sorted(map(str, view.reads - allowed)))
+        assert view.fields <= NEIGHBOUR_FIELDS[name], (name, p, view.fields)
+        counts["fields"][name] |= view.fields
         if not inbox and not can_act(state):
             counts["dormant"][name] += 1
-            assert out[0] is state and not out[1], (name, p)
+            assert _no_op(out, state), (name, p)
         # idempotent: again on an empty inbox, with the read cells as
         # they are, the step changes nothing and sends nothing
         again = step(p, out[0], [], states)
         assert again[0] is out[0] and not again[1], (name, p)
+        woken = set(out[3])
+        if out[0] is state:
+            assert not woken, (name, p, woken)
+            return out
+        assert woken <= states.keys(), (name, p, woken)
+        # a particle that reads p and is neither woken nor mailed must
+        # not go from a no-op on an empty inbox to acting, by p's change
+        hop = hops[out[0].frame_offset]
+        mailed = {p + hop[a][0] for a, _ in out[1]}
+        after = {**states, p: out[0]}
+        readers = {p + o for o in offsets} & states.keys()
+        for q in readers - woken - mailed:
+            if _no_op(step(q, states[q], [], states), states[q]):
+                counts["unwoken"][name] += 1
+                assert _no_op(step(q, states[q], [], after), states[q]), (name, p, q)
         return out
 
     def audited(p, state, inbox, states):
         # every particle as it stands, on an empty inbox, then the call
         # the engine asked for
-        for q in list(dict.keys(states)):
-            checked(q, dict.__getitem__(states, q), [], states)
+        for q in list(states):
+            checked(q, states[q], [], states)
         if not inbox and not can_act(state):
             counts["idle"][name] += 1  # a call the engine could have skipped
         out = checked(p, state, inbox, states)
-        if out[0] is state and not out[1]:
+        if _no_op(out, state):
             counts["no-op"][name] += 1
         return out
 
@@ -493,17 +512,18 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
     kind, monkeypatch
 ):
     make_protocol = algorithms.make_protocol
-    initial_states = algorithms.initial_states
     counts = {
-        key: dict.fromkeys(PIPELINE_FULL, 0) for key in ("dormant", "idle", "no-op")
+        key: dict.fromkeys(PIPELINE_FULL, 0)
+        for key in ("dormant", "idle", "no-op", "unwoken")
     }
     counts["fields"] = {name: set() for name in PIPELINE_FULL}
 
     def audited_protocol(name, config, k=1):
         proto = make_protocol(name, config, k)
+        w = config.key_width
         # only step and describe, as a wrapping benchmark tracer exposes
         return SimpleNamespace(
-            step=_audited_step(name, config.kind, proto.step, counts),
+            step=_audited_step(name, config.kind, w, proto.step, counts),
             describe=proto.describe,
         )
 
@@ -514,15 +534,13 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
         for sched in _golden_schedules(cells):
             cases.append((cfg, sched, run(cfg, PIPELINE_FULL, sched, k=2)))
     monkeypatch.setattr(algorithms, "make_protocol", audited_protocol)
-    monkeypatch.setattr(
-        algorithms, "initial_states", lambda config: ReadLog(initial_states(config))
-    )
     for cfg, sched, plain in cases:
         res = run(cfg, PIPELINE_FULL, sched, k=2)
-        assert isinstance(res.states, ReadLog)
         assert res.trace.to_text() == plain.trace.to_text()
         assert _states_text(res.states) == _states_text(plain.states)
     assert all(counts["dormant"].values()), counts["dormant"]
+    # the wake check saw readers of a change in both phases that read cells
+    assert counts["unwoken"]["elect"] and counts["unwoken"]["tree"], counts["unwoken"]
     assert counts["fields"] == NEIGHBOUR_FIELDS
     # the engine never steps a particle that cannot act and has no mail,
     # and outside the election every step it makes changes or sends
@@ -563,8 +581,10 @@ def _reference_run(config, pipeline, schedule, k):
     """
     particles = config.particles()
     rng = random.Random(schedule.seed)
-    states = algorithms.initial_states(config)
-    inboxes = {p: [] for p in particles}
+    w = key_width(particles)
+    key = {p: p[0] * w + p[1] for p in particles}
+    states = {key[p]: s for p, s in algorithms.initial_states(config).items()}
+    inboxes = {key[p]: [] for p in particles}
     dirs = directions(config.kind)
     d = len(dirs)
     lines, reports, rounds = [], [], 0
@@ -578,17 +598,18 @@ def _reference_run(config, pipeline, schedule, k):
             rounds += 1
             changed_any, round_sends = False, 0
             for p in order:
-                inbox, inboxes[p] = inboxes[p], []
-                state = states[p]
+                at = key[p]
+                inbox, inboxes[at] = inboxes[at], []
+                state = states[at]
                 assert not (name == "tree" and inbox and state.tree_joined), p
-                new, outbox, accepted = proto.step(p, state, inbox, states)
-                states[p] = new
+                new, outbox, accepted, _ = proto.step(at, state, inbox, states)
+                states[at] = new
                 changed = new != state
                 changed_any |= changed
                 messages += accepted
                 for port, payload in outbox:
                     canon = (port + new.frame_offset) % d
-                    q = (p[0] + dirs[canon][0], p[1] + dirs[canon][1])
+                    q = key[p[0] + dirs[canon][0], p[1] + dirs[canon][1]]
                     via = (canon + d // 2 - states[q].frame_offset) % d
                     inboxes[q].append((via, payload))
                 round_sends += len(outbox)
@@ -601,7 +622,7 @@ def _reference_run(config, pipeline, schedule, k):
             if not (changed_any or round_sends):
                 break
         reports.append(AlgorithmReport(name, active, phase_round, messages, sends))
-    return "".join(lines), reports, states
+    return "".join(lines), reports, {p: states[key[p]] for p in particles}
 
 
 def _explicit_orders(particles, rng):

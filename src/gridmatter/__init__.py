@@ -26,7 +26,6 @@ from .particles import (
     extended_neighborhood,
     find_holes,
     is_s_contractible,
-    is_s_contractible_local,
     make_config,
     mtree,
     radius,
@@ -38,8 +37,6 @@ from .coloring import (
     color_at,
     color_count,
     color_table_text,
-    coord_update_receive,
-    min_colors_bruteforce,
     pattern,
     tracking_modulus,
     verify_coloring,
@@ -66,9 +63,7 @@ from .algorithms import (
     ParticleState,
     classify_boundary,
     id_histogram,
-    initial_states,
     leader_of,
-    tree_children,
     tree_height,
     tree_parent,
     update_id_after_move,

@@ -138,11 +138,6 @@ def start_states(kind: GridKind) -> tuple[ParticleState, ...]:
     return tuple(ParticleState(frame_offset=f) for f in range(degree(kind)))
 
 
-def initial_states(config: ParticleConfig) -> dict:
-    start = start_states(config.kind)
-    return {p: start[config.offset(p)] for p in config.particles()}
-
-
 def read_offsets(name: str, kind: GridKind) -> tuple[Coord, ...]:
     """The cells, as offsets from p, whose states a step of `name` reads."""
     if name == ELECT:
@@ -479,12 +474,6 @@ def tree_parent(kind: GridKind, states: dict, p: Coord) -> Optional[Coord]:
     if c is None:
         return None
     return (p[0] + dirs[c][0], p[1] + dirs[c][1])
-
-
-def tree_children(kind: GridKind, states: dict, p: Coord) -> list:
-    s = states[p]
-    hop = port_steps(kind)[s.frame_offset]
-    return [(p[0] + hop[a][0], p[1] + hop[a][1]) for a in sorted(s.child_ports)]
 
 
 def tree_height(kind: GridKind, states: dict) -> int:

@@ -21,11 +21,11 @@ from .coloring import SUPPORTED_K, color_table_text, pattern
 from .grid import Coord, GridKind
 from .particles import (
     ParticleConfig,
-    _bound_from,
     find_holes,
     holes_and_border,
     mtree,
     radius,
+    round_bound,
     validate_config,
 )
 from .scheduler import (
@@ -306,7 +306,7 @@ def bound(config_path, limit):
         _input_error(f"config larger than tree search limit {limit}")
     r = radius(doc.config)
     mt = mtree(doc.config, limit=limit)
-    lines = [("r", r), ("mtree", mt), ("bound", _bound_from(doc.config.kind, r, mt))]
+    lines = [("r", r), ("mtree", mt), ("bound", round_bound(doc.config.kind, r, mt))]
     click.echo(format_report(lines), nl=False)
 
 

@@ -95,18 +95,11 @@ def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
     return pattern.rows[j % pattern.period_j][i % pattern.period_i]
 
 
-def coord_update_receive(
-    kind: GridKind, k: int, coords: Coord, a: int
-) -> Coord:
-    """Receiver's tracked coordinates, given the sender's and the port of receipt."""
-    port_direction(kind, a)  # raises ValueError for a port out of range
-    return receive_update(kind, k)(coords, a)
-
-
 @lru_cache(maxsize=None)
 def receive_update(kind: GridKind, k: int):
-    """`coord_update_receive` of one grid and k, its port directions and
-    tracking modulus looked up once: `update(coords, a)`.
+    """The receiver's tracked coordinates from the sender's `coords` and
+    the port of receipt a, as `update(coords, a)`, with the grid's port
+    directions and tracking modulus looked up once.
 
     The receiving port a points back at the sender, so the receiver sits
     one step against that direction; both axes reduce modulo the
@@ -208,55 +201,6 @@ def verify_coloring(
                 y = next(y for y, (c1, c2) in enumerate(zip(a, b)) if c1 == c2)
                 return ((x, y), (x + di, y + dj)), a[y]
     return None
-
-
-def min_colors_bruteforce(kind: GridKind, k: int, window: tuple[int, int]) -> int:
-    """Exact chromatic number of the k-th power restricted to a window.
-
-    Exhaustive search, so the window is capped at 5x5 cells and k at 2.
-    Useful only as a desk-scale lower-bound check on color_count.
-    """
-    wi, wj = window
-    if wi < 1 or wj < 1 or wi * wj > 25 or k > 2 or k < 1:
-        raise ValueError("brute force limited to windows up to 5x5 and k <= 2")
-    cells = [(i, j) for i in range(wi) for j in range(wj)]
-    n = len(cells)
-    adj = [set() for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if distance(kind, cells[x], cells[y]) <= k:
-                adj[x].add(y)
-                adj[y].add(x)
-    # color vertices in decreasing-degree order so dense spots fail fast
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
-
-    def colorable(limit: int) -> bool:
-        assigned: dict[int, int] = {}
-
-        def place(idx: int) -> bool:
-            if idx == n:
-                return True
-            v = order[idx]
-            used = {assigned[u] for u in adj[v] if u in assigned}
-            # symmetry break: allow at most one brand-new color
-            fresh = min(set(range(limit)) - set(assigned.values()), default=None)
-            for c in range(limit):
-                if c in used:
-                    continue
-                if fresh is not None and c > fresh:
-                    break
-                assigned[v] = c
-                if place(idx + 1):
-                    return True
-                del assigned[v]
-            return False
-
-        return place(0)
-
-    for limit in range(1, n + 1):
-        if colorable(limit):
-            return limit
-    raise AssertionError("unreachable")
 
 
 def color_table_text(p: ColoringPattern, rows: int, cols: int) -> str:

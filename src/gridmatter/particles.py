@@ -11,10 +11,9 @@ neighbor slot.  Removing such a particle from S keeps S connected and
 hole-free, which is what the election algorithm leans on.  Its port-local
 form is one table: `contractibility_table` applies the definition-level
 test to every slot mask, which says which neighbor (and, on the square
-grid, corner) slots are in S, and `is_s_contractible_local` packs its
-arguments into such a mask and looks it up.  On the king grid the
-election and the blob generator use the stricter `removal_table`, which
-also keeps the 4-adjacent background free of pockets.
+grid, corner) slots are in S.  On the king grid the election and the
+blob generator use the stricter `removal_table`, which also keeps the
+4-adjacent background free of pockets.
 """
 
 from __future__ import annotations
@@ -278,37 +277,6 @@ def contractibility_table(kind: GridKind) -> tuple[bool, ...]:
     )
 
 
-def is_s_contractible_local(
-    kind: GridKind,
-    occupied_ports: Iterable[int],
-    corner_occupancy: Optional[tuple[bool, bool, bool, bool]] = None,
-) -> bool:
-    """Port-local contractibility decision.
-
-    `occupied_ports` are the ports whose neighbors are in S, and, on the
-    square grid, `corner_occupancy[a]` says whether the corner between
-    ports a and a+1 is in S.  A lookup of that slot mask in
-    `contractibility_table`.
-    """
-    d = degree(kind)
-    mask = 0
-    for a in occupied_ports:
-        if not 0 <= a < d:
-            raise ValueError(f"port {a} outside [0,{d})")
-        mask |= 1 << a
-    if kind == GridKind.SQUARE:
-        if corner_occupancy is None:
-            raise ValueError("square grid needs corner occupancy")
-        if len(corner_occupancy) != 4:
-            raise ValueError("corner occupancy must have four entries")
-        for a, on in enumerate(corner_occupancy):
-            if on:
-                mask |= 1 << (4 + a)
-    elif corner_occupancy is not None:
-        raise ValueError("corner occupancy only applies to the square grid")
-    return contractibility_table(kind)[mask]
-
-
 def _king_background_runs(mask: int) -> int:
     """Runs of free slots around a king-grid vertex that hold a port 4-adjacent to it.
 
@@ -415,13 +383,9 @@ def mtree(config: ParticleConfig, limit: int = 18) -> int:
     return (longest + 1) // 2
 
 
-def _bound_from(kind: GridKind, r: int, mt: int) -> int:
-    """b_G from r(P) and mtree(P)."""
+def round_bound(kind: GridKind, r: int, mt: int) -> int:
+    """b_G: upper bound on election rounds for a hole-free configuration
+    of radius r = `radius` and mtree mt = `mtree`."""
     if kind == GridKind.SQUARE:
         return 2 * (r + mt) + 2
     return r + mt + 1
-
-
-def round_bound(config: ParticleConfig, limit: int = 18) -> int:
-    """b_G: upper bound on election rounds for hole-free configurations."""
-    return _bound_from(config.kind, radius(config), mtree(config, limit=limit))

@@ -31,12 +31,9 @@ round is recorded.
 
 from __future__ import annotations
 
-import operator
 import random
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Optional
 
 from . import algorithms
@@ -91,20 +88,17 @@ class TraceRound:
 _NO_CHANGE = ("-", 0)
 
 
-class TraceEvents(Sequence):
+class TraceEvents:
     """A read-only view of a log's activations, one `TraceEvent` each.
 
-    Events are built only as they are read, so `len()` allocates none
-    and iteration holds one at a time; an index or slice bisects the
-    cumulative round lengths.  Compares equal to any sequence with equal
-    elements, so an unrecorded run's events equal `[]`.
+    Events are built only as they are read: `len()` allocates none and
+    iteration holds one at a time.
     """
 
-    __slots__ = ("_log", "_ends")
+    __slots__ = ("_log",)
 
     def __init__(self, log: Sequence[TraceRound]):
         self._log = log
-        self._ends: Optional[list[int]] = None  # 0, then cumulative round lengths
 
     def __len__(self) -> int:
         return sum(len(r.order) for r in self._log)
@@ -114,28 +108,6 @@ class TraceEvents(Sequence):
             get = r.changes.get
             for pos, p in enumerate(r.order):
                 yield TraceEvent(r.round, p, r.algorithm, *get(pos, _NO_CHANGE))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if self._ends is None:
-            self._ends = [0, *accumulate(len(r.order) for r in self._log)]
-        ends = self._ends
-        i = operator.index(index)
-        if i < 0:
-            i += ends[-1]
-        if not 0 <= i < ends[-1]:
-            raise IndexError("trace event index out of range")
-        at = bisect_right(ends, i) - 1
-        r, pos = self._log[at], i - ends[at]
-        return TraceEvent(
-            r.round, r.order[pos], r.algorithm, *r.changes.get(pos, _NO_CHANGE)
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass

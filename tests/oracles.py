@@ -3,8 +3,10 @@
 Everything here is written from the definitions, favoring obviousness
 over speed: BFS metrics, definition-level contractibility, flood-fill
 hole finding, exhaustive tree search, face-membership boundary
-classification.  Library code must agree with these; the tests freeze
-the comparisons.
+classification, and the lower bounds on colors: a clique of each grid's
+k-th power and a brute-force chromatic number on small windows.  It
+imports no library code.  Library code must agree with these; the tests
+freeze the comparisons.
 """
 
 from __future__ import annotations
@@ -266,6 +268,91 @@ def lattice_spread(kind, p, q, s, k) -> bool:
             if bfs_distance(kind, (0, 0), (i, j)) <= k:
                 return False
     return True
+
+
+def ball(kind, centre, radius):
+    """The cells within `radius` steps of `centre`, by BFS."""
+    seen = frontier = {centre}
+    for _ in range(radius):
+        frontier = {v for u in frontier for v in neighborhood(kind, u)} - seen
+        seen = seen | frontier
+    return seen
+
+
+# Mutually adjacent centres whose balls of radius (k-1)/2 are cliques of
+# the k-th power for odd k: an edge, the 2x2 block, the two triangles.
+CLIQUE_CENTRES = {
+    "square": [[(0, 0), (0, 1)]],
+    "king": [[(0, 0), (0, 1), (1, 0), (1, 1)]],
+    "triangular": [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (1, -1)]],
+}
+
+
+def clique_lower_bound(kind, k) -> int:
+    """The size of a clique of the grid's k-th power: cells pairwise
+    within distance k, which must all take different colors.
+
+    For even k the candidate is the ball of radius k/2 about (0, 0); for
+    odd k, the cells within (k-1)/2 of each of CLIQUE_CENTRES.  Each
+    candidate counts only once every member's ball of radius k holds
+    all of it, and the largest that does is returned.
+    """
+    centre_sets = [[(0, 0)]] if k % 2 == 0 else CLIQUE_CENTRES[kind_name(kind)]
+    best = 0
+    for centres in centre_sets:
+        cells = set().union(*(ball(kind, c, k // 2) for c in centres))
+        if all(cells <= ball(kind, p, k) for p in cells):
+            best = max(best, len(cells))
+    return best
+
+
+def min_colors_bruteforce(kind, k, window) -> int:
+    """Exact chromatic number of the k-th power restricted to a window.
+
+    Exhaustive search, so the window is capped at 5x5 cells and k at 2.
+    Useful only as a desk-scale lower-bound check on the color count.
+    """
+    wi, wj = window
+    if wi < 1 or wj < 1 or wi * wj > 25 or k > 2 or k < 1:
+        raise ValueError("brute force limited to windows up to 5x5 and k <= 2")
+    cells = [(i, j) for i in range(wi) for j in range(wj)]
+    n = len(cells)
+    adj = [set() for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if bfs_distance(kind, cells[x], cells[y]) <= k:
+                adj[x].add(y)
+                adj[y].add(x)
+    # color vertices in decreasing-degree order so dense spots fail fast
+    order = sorted(range(n), key=lambda v: -len(adj[v]))
+
+    def colorable(limit: int) -> bool:
+        assigned: dict[int, int] = {}
+
+        def place(idx: int) -> bool:
+            if idx == n:
+                return True
+            v = order[idx]
+            used = {assigned[u] for u in adj[v] if u in assigned}
+            # symmetry break: allow at most one brand-new color
+            fresh = min(set(range(limit)) - set(assigned.values()), default=None)
+            for c in range(limit):
+                if c in used:
+                    continue
+                if fresh is not None and c > fresh:
+                    break
+                assigned[v] = c
+                if place(idx + 1):
+                    return True
+                del assigned[v]
+            return False
+
+        return place(0)
+
+    for limit in range(1, n + 1):
+        if colorable(limit):
+            return limit
+    raise AssertionError("unreachable")
 
 
 def _embed(kind, p):

@@ -27,8 +27,8 @@ from gridmatter.algorithms import (
     PIPELINE_FULL,
     STATUS_CANDIDATE,
     STATUS_NON_CANDIDATE,
-    initial_states,
     leader_of,
+    start_states,
     tree_height,
     update_id_after_move,
 )
@@ -37,15 +37,14 @@ from gridmatter.coloring import (
     color_at,
     color_count,
     color_table_text,
-    min_colors_bruteforce,
     pattern,
     tracking_modulus,
     verify_coloring,
 )
 from gridmatter.grid import GridKind, degree, port_direction
 from gridmatter.particles import (
+    contractibility_table,
     find_holes,
-    is_s_contractible_local,
     make_config,
 )
 from gridmatter.scheduler import (
@@ -232,7 +231,8 @@ def _planted_run(kind, cells, retirements):
         "elect", rounds_active=len(log), rounds_total=len(log) + 1, messages=0,
         sends=0,
     )
-    return cfg, RunResult(states=initial_states(cfg), trace=trace, reports=[report])
+    states = {p: start_states(kind)[0] for p in order}
+    return cfg, RunResult(states=states, trace=trace, reports=[report])
 
 
 def test_audit_flags_planted_faults():
@@ -367,6 +367,7 @@ def test_criterion_4_local_detection_exhaustive():
         origin = (0, 0)
         for kind in KINDS:
             d = degree(kind)
+            table = contractibility_table(kind)
             corner_opts = (
                 list(product((False, True), repeat=4))
                 if kind == GridKind.SQUARE
@@ -380,12 +381,14 @@ def test_criterion_4_local_detection_exhaustive():
                     for a in ports:
                         di, dj = port_direction(kind, a)
                         s.add((di, dj))
+                    slots = mask
                     if corners is not None:
                         for c, on in enumerate(corners):
                             if on:
                                 s.add(oracles.CORNERS[c])
+                                slots |= 1 << (4 + c)
                     want = oracles.def1_contractible(kind, s, origin)
-                    got = is_s_contractible_local(kind, ports, corners)
+                    got = table[slots]
                     assert got == want, (kind.value, sorted(ports), corners)
                     checked += 1
             assert checked == (1 << d) * len(corner_opts)
@@ -505,11 +508,9 @@ def test_criterion_8_identifier_soundness():
                 m = tracking_modulus(kind, k)
                 pat = pattern(kind, k)
                 offset = rng.randrange(d)
-                state = initial_states(
-                    make_config(kind, [(0, 0)], {(0, 0): offset})
-                )[(0, 0)]
                 state = replace(
-                    state, coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0)
+                    start_states(kind)[offset],
+                    coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0),
                 )
                 pos = (0, 0)
                 for _ in range(rng.randrange(1, 21)):
@@ -549,6 +550,8 @@ def test_criterion_9_coloring_optimality():
                     for j in range(pat.period_j)
                 }
                 assert len(used) == m, (kind.value, k)
+                # m cells pairwise within k: no coloring uses fewer colors
+                assert oracles.clique_lower_bound(kind, k) == m, (kind.value, k)
 
         # the uncorrected square k=4 multiplier, (i + 4j) mod 13, collides
         # at offset (1,3)
@@ -569,10 +572,10 @@ def test_criterion_9_coloring_optimality():
             "5 6 7 8 9 10 11 12 0 1 2 3 4\n"
         )
 
-        assert min_colors_bruteforce(GridKind.KING, 1, (2, 2)) == 4
-        assert min_colors_bruteforce(GridKind.KING, 2, (3, 3)) == 9
-        assert min_colors_bruteforce(GridKind.SQUARE, 1, (3, 3)) == 2
-        assert min_colors_bruteforce(GridKind.TRIANGULAR, 1, (2, 2)) == 3
+        assert oracles.min_colors_bruteforce(GridKind.KING, 1, (2, 2)) == 4
+        assert oracles.min_colors_bruteforce(GridKind.KING, 2, (3, 3)) == 9
+        assert oracles.min_colors_bruteforce(GridKind.SQUARE, 1, (3, 3)) == 2
+        assert oracles.min_colors_bruteforce(GridKind.TRIANGULAR, 1, (2, 2)) == 3
         ok = True
     finally:
         _verdict(9, ok)

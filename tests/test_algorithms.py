@@ -13,9 +13,9 @@ from gridmatter.algorithms import (
     TreeProtocol,
     classify_boundary,
     id_histogram,
-    initial_states,
     leader_of,
-    tree_children,
+    port_steps,
+    start_states,
     tree_height,
     tree_parent,
     update_id_after_move,
@@ -88,7 +88,7 @@ def hole_free_blob(kind, n, seed):
 
 def test_single_particle_elects_itself():
     cfg = make_config("king", [(7, -3)])
-    state = initial_states(cfg)[(7, -3)]
+    state = start_states(cfg.kind)[cfg.offset((7, -3))]
     assert state.status == STATUS_CANDIDATE
     p = 7 * 2 - 3  # the int key i * w + j, w = 2 for a single column
     new, _, _, woken = ElectProtocol(cfg).step(p, state, [], {p: state})
@@ -252,6 +252,12 @@ def tree_edges(kind, states):
     }
 
 
+def tree_children(kind, states, p):
+    s = states[p]
+    hop = port_steps(kind)[s.frame_offset]
+    return [(p[0] + hop[a][0], p[1] + hop[a][1]) for a in sorted(s.child_ports)]
+
+
 def test_tree_spans_with_reciprocal_pointers():
     cfg, res = _full_run("square", [(i, 0) for i in range(5)])
     states = res.states
@@ -407,7 +413,7 @@ def test_update_id_after_move_tracks_absolute_position(kind):
     d = degree(kind)
     for trial in range(60):
         offset = rng.randrange(d)
-        state = initial_states(make_config(kind, [(0, 0)], {(0, 0): offset}))[(0, 0)]
+        state = start_states(kind)[offset]
         from dataclasses import replace
 
         state = replace(state, coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0))
@@ -422,8 +428,7 @@ def test_update_id_after_move_tracks_absolute_position(kind):
 
 
 def test_update_id_requires_assigned_coordinates():
-    cfg = make_config("square", [(0, 0)])
-    state = initial_states(cfg)[(0, 0)]
+    state = start_states(GridKind.SQUARE)[0]
     with pytest.raises(ValueError):
         update_id_after_move(GridKind.SQUARE, 1, state, 0)
 

@@ -795,3 +795,18 @@ def test_importing_the_oracles_loads_no_networkx():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env)
     assert proc.returncode == 0
+
+
+def test_the_oracles_run_without_the_library():
+    # a None entry in sys.modules makes `import gridmatter` raise ImportError
+    tests_dir = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path.insert(0, {tests_dir!r}); "
+        "sys.modules['gridmatter'] = None; import oracles; "
+        "assert oracles.min_colors_bruteforce('square', 1, (3, 3)) == 2; "
+        "assert oracles.clique_lower_bound('triangular', 3) == 12"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,9 +12,8 @@ from gridmatter.coloring import (
     color_at,
     color_count,
     color_table_text,
-    coord_update_receive,
-    min_colors_bruteforce,
     pattern,
+    receive_update,
     tracking_modulus,
     verify_coloring,
 )
@@ -175,22 +174,22 @@ def test_color_table_text_king_k2():
 
 
 def test_min_colors_bruteforce_values():
-    assert min_colors_bruteforce(GridKind.KING, 1, (2, 2)) == 4
-    assert min_colors_bruteforce(GridKind.KING, 2, (3, 3)) == 9
-    assert min_colors_bruteforce(GridKind.SQUARE, 1, (3, 3)) == 2
-    assert min_colors_bruteforce(GridKind.TRIANGULAR, 1, (2, 2)) == 3
+    assert oracles.min_colors_bruteforce(GridKind.KING, 1, (2, 2)) == 4
+    assert oracles.min_colors_bruteforce(GridKind.KING, 2, (3, 3)) == 9
+    assert oracles.min_colors_bruteforce(GridKind.SQUARE, 1, (3, 3)) == 2
+    assert oracles.min_colors_bruteforce(GridKind.TRIANGULAR, 1, (2, 2)) == 3
     with pytest.raises(ValueError):
-        min_colors_bruteforce(GridKind.SQUARE, 1, (6, 6))
+        oracles.min_colors_bruteforce(GridKind.SQUARE, 1, (6, 6))
     with pytest.raises(ValueError):
-        min_colors_bruteforce(GridKind.SQUARE, 3, (2, 2))
+        oracles.min_colors_bruteforce(GridKind.SQUARE, 3, (2, 2))
 
 
 def test_coord_update_receive_examples():
     # receiving through port a means the sender sits in direction a from
     # the receiver... the receiver is one step against it
-    assert coord_update_receive(GridKind.SQUARE, 3, (0, 0), 2) == (7, 0)
-    assert coord_update_receive(GridKind.SQUARE, 3, (0, 0), 0) == (1, 0)
-    assert coord_update_receive(GridKind.TRIANGULAR, 1, (2, 1), 5) == (0, 0)
+    assert receive_update(GridKind.SQUARE, 3)((0, 0), 2) == (7, 0)
+    assert receive_update(GridKind.SQUARE, 3)((0, 0), 0) == (1, 0)
+    assert receive_update(GridKind.TRIANGULAR, 1)((2, 1), 5) == (0, 0)
 
 
 @settings(max_examples=120)
@@ -205,8 +204,9 @@ def test_coord_update_round_trips(kind, k, i, j, a):
     a %= degree(kind)
     m = tracking_modulus(kind, k)
     start = (i % m, j % m)
-    there = coord_update_receive(kind, k, start, a)
-    back = coord_update_receive(kind, k, there, opposite_port(kind, a))
+    update = receive_update(kind, k)
+    there = update(start, a)
+    back = update(there, opposite_port(kind, a))
     assert back == start
     di, dj = port_direction(kind, a)
     assert there == ((start[0] - di) % m, (start[1] - dj) % m)

@@ -16,7 +16,6 @@ from gridmatter.particles import (
     find_holes,
     holes_and_border,
     is_s_contractible,
-    is_s_contractible_local,
     make_config,
     mtree,
     occupied_ports,
@@ -243,8 +242,7 @@ def test_local_contractibility_matches_definition_exhaustively(kind):
         ports = {a for a in range(d) if bits >> a & 1}
         s = {(0, 0)} | {dirs[a] for a in ports}
         want = oracles.def1_contractible(kind, s, (0, 0))
-        assert is_s_contractible_local(kind, ports) == want, bits
-        assert contractibility_table(kind)[bits] == want
+        assert contractibility_table(kind)[bits] == want, bits
 
 
 def test_local_contractibility_matches_definition_square():
@@ -256,24 +254,8 @@ def test_local_contractibility_matches_definition_square():
         s |= {dirs[a] for a in ports}
         s |= {CORNER_DIRECTIONS[a] for a in range(4) if corners[a]}
         want = oracles.def1_contractible("square", s, (0, 0))
-        got = is_s_contractible_local(GridKind.SQUARE, ports, corners)
+        got = contractibility_table(GridKind.SQUARE)[pbits | cbits << 4]
         assert got == want, (pbits, cbits)
-        assert contractibility_table(GridKind.SQUARE)[pbits | cbits << 4] == want
-
-
-def test_local_contractibility_rejects_malformed_slots():
-    corners = (False, False, False, False)
-    for bad in ({4}, {-1}):
-        with pytest.raises(ValueError, match="port"):
-            is_s_contractible_local(GridKind.SQUARE, bad, corners)
-    with pytest.raises(ValueError, match="port"):
-        is_s_contractible_local(GridKind.TRIANGULAR, {6})
-    with pytest.raises(ValueError, match="needs corner"):
-        is_s_contractible_local(GridKind.SQUARE, {0})
-    with pytest.raises(ValueError, match="four entries"):
-        is_s_contractible_local(GridKind.SQUARE, {0}, (True,))
-    with pytest.raises(ValueError, match="only applies"):
-        is_s_contractible_local(GridKind.KING, {0}, corners)
 
 
 def test_king_removal_table_matches_simple_point_definition():
@@ -312,14 +294,14 @@ def test_radius_mtree_bound_values(kind, cells, r, m, b):
     c = make_config(kind, cells)
     assert radius(c) == r == oracles.radius_to_border(kind, cells)
     assert mtree(c) == m == oracles.max_tree_height(kind, cells)
-    assert round_bound(c) == b
+    assert round_bound(c.kind, radius(c), mtree(c)) == b
 
 
 def test_single_particle_bound():
     c = make_config("triangular", [(4, -2)])
     assert radius(c) == 0
     assert mtree(c) == 0
-    assert round_bound(c) == 1
+    assert round_bound(c.kind, radius(c), mtree(c)) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -5,8 +5,7 @@ in a private frame, and act only on local information.  The package
 covers three grids (square, triangular, king), leader election by
 candidate elimination, spanning tree construction, port relabeling to a
 common frame, identifier assignment that stays locally unique out to a
-chosen distance, boundary walks, and the periodic colorings the
-identifiers come from.
+chosen distance, and the periodic colorings the identifiers come from.
 """
 
 from .grid import (
@@ -15,7 +14,6 @@ from .grid import (
     degree,
     distance,
     neighbors,
-    next_occupied_port,
     opposite_port,
     port_direction,
 )
@@ -23,9 +21,7 @@ from .particles import (
     HoleReport,
     ParticleConfig,
     border,
-    extended_neighborhood,
     find_holes,
-    is_s_contractible,
     make_config,
     mtree,
     radius,
@@ -61,7 +57,6 @@ from .algorithms import (
     RENUMBER,
     TREE,
     ParticleState,
-    classify_boundary,
     id_histogram,
     leader_of,
     tree_height,

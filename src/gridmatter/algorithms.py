@@ -54,13 +54,11 @@ from .grid import (
     GridKind,
     degree,
     directions,
-    next_occupied_port,
     opposite_port,
     port_direction,
 )
 from .particles import (
     ParticleConfig,
-    occupied_ports,
     removal_table,
     slot_cells,
 )
@@ -174,7 +172,6 @@ class ElectProtocol:
     name = ELECT
 
     def __init__(self, config: ParticleConfig):
-        self.kind = config.kind
         self.table = removal_table(config.kind)
         w = config.key_width
         self.slots = tuple(
@@ -235,7 +232,6 @@ class TreeProtocol:
     name = TREE
 
     def __init__(self, config: ParticleConfig):
-        self.kind = config.kind
         self.ports = port_keys(config.kind, config.key_width)
         d = self.d = len(self.ports)
         self.sends = tuple((a, (TREE,)) for a in range(d))
@@ -299,7 +295,6 @@ class RenumberProtocol:
     name = RENUMBER
 
     def __init__(self, config: ParticleConfig):
-        self.kind = config.kind
         d = self.d = degree(config.kind)
         # at frame offset 0 a local port is the canonical one
         self.opposite = tuple(back for _, _, back in port_steps(config.kind)[0])
@@ -348,7 +343,6 @@ class IdsProtocol:
     name = IDS
 
     def __init__(self, config: ParticleConfig, k: int):
-        self.kind = config.kind
         self.d = degree(config.kind)
         self.pattern = pattern(config.kind, k)
         self.receive = receive_update(config.kind, k)
@@ -403,59 +397,15 @@ def update_id_after_move(
     """
     if state.coord_i is None or state.coord_j is None:
         raise ValueError("particle has no tracked coordinates")
-    canon = (port + state.frame_offset) % degree(kind)
+    d = degree(kind)
+    if not 0 <= port < d:
+        raise ValueError(f"port {port} out of range for {GridKind(kind).value} grid")
+    canon = (port + state.frame_offset) % d
     di, dj = port_direction(kind, canon)
     m = tracking_modulus(kind, k)
     i = (state.coord_i + di) % m
     j = (state.coord_j + dj) % m
     return _evolve(state, coord_i=i, coord_j=j, local_id=color_at(pattern(kind, k), i, j))
-
-
-def classify_boundary(
-    config: ParticleConfig, start: Coord, start_port: int
-) -> tuple[str, int]:
-    """Walk a boundary cycle and classify which side it hugs.
-
-    The walk state is (particle, canonical arrival port); the next hop
-    leaves through the first occupied port clockwise after the arrival
-    port.  Summed turning over the closed cycle is one full turn: minus
-    the grid degree when the unoccupied side is the outer face, plus the
-    degree around a hole.  Returns the classification and the cycle
-    length in hops; a lone particle is the degenerate outer cycle of
-    length zero.
-    """
-    if start not in config.occupied:
-        raise ValueError(f"start {start} is not occupied")
-    if config.n == 1:
-        return "outer", 0
-    d = degree(config.kind)
-    occ = {p: occupied_ports(config, p) for p in config.particles()}
-    if start_port not in occ[start]:
-        raise ValueError(f"start port {start_port} has no occupied neighbor")
-    cur, inp = start, start_port
-    turning = 0
-    length = 0
-    hugged_unoccupied = False
-    while True:
-        ports = occ[cur]
-        out = next_occupied_port(config.kind, inp, ports)
-        skipped = (out - inp - 1) % d  # ports faced while sweeping to out
-        if skipped:
-            hugged_unoccupied = True
-        # straight through (out opposite inp) turns 0; a tighter exit is a
-        # positive turn, a wider sweep negative, a full U-turn -d/2
-        turning += d // 2 - 1 - skipped
-        di, dj = port_direction(config.kind, out)
-        cur = (cur[0] + di, cur[1] + dj)
-        inp = opposite_port(config.kind, out)
-        length += 1
-        if (cur, inp) == (start, start_port):
-            break
-    if not hugged_unoccupied:
-        raise ValueError("walk never faces an empty cell; not a boundary state")
-    if turning not in (-d, d):
-        raise AssertionError(f"boundary walk turned {turning}, expected +-{d}")
-    return ("outer" if turning < 0 else "hole"), length
 
 
 # Inspection helpers over a finished run's states.

@@ -93,21 +93,3 @@ def opposite_port(kind: GridKind, a: int) -> int:
         raise ValueError(f"port {a} out of range for {kind.value} grid")
     return (a + d // 2) % d
 
-
-def next_occupied_port(kind: GridKind, a: int, occupied) -> int:
-    """n(a): first occupied port strictly after `a` in cyclic order.
-
-    Wraps around, and returns `a` itself when it is the only occupied
-    port.  This is the boundary-walk forwarding rule.
-    """
-    d = degree(kind)
-    if not 0 <= a < d:
-        raise ValueError(f"port {a} out of range for {kind.value} grid")
-    occ = set(occupied)
-    if not occ:
-        raise ValueError("next_occupied_port requires at least one occupied port")
-    for step in range(1, d + 1):
-        b = (a + step) % d
-        if b in occ:
-            return b
-    raise AssertionError("unreachable")

@@ -125,17 +125,6 @@ def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
     return not todo
 
 
-def occupied_ports(config: ParticleConfig, p: Coord) -> set[int]:
-    """Canonical ports of p that lead to occupied vertices."""
-    occ = config.occupied
-    return {a for a, v in enumerate(neighbors(config.kind, p)) if v in occ}
-
-
-def extended_neighborhood(kind: GridKind, at: Coord) -> set[Coord]:
-    """N_G(at), plus the four corners on the square grid: the slot cells."""
-    return {c for _, c in slot_cells(kind, at)}
-
-
 # ---------------------------------------------------------------------------
 # Holes and border
 
@@ -235,16 +224,8 @@ def _window_contractible(kind: GridKind, p: Coord, s_set: set[Coord]) -> bool:
     """Definition 1 at p: G[M(p) ∩ S] connected, and a free neighbor slot left."""
     if all(c in s_set for c in neighbors(kind, p)):
         return False
-    cells = {c for c in extended_neighborhood(kind, p) if c in s_set}
+    cells = {c for _, c in slot_cells(kind, p) if c in s_set}
     return not cells or _is_connected(kind, cells)
-
-
-def is_s_contractible(config: ParticleConfig, S: Iterable[Coord], p: Coord) -> bool:
-    """Definition-level contractibility: G[M(p) ∩ S] connected, free slot left."""
-    s_set = set(S)
-    if p not in s_set:
-        raise ValueError(f"{p} is not in S")
-    return _window_contractible(config.kind, p, s_set)
 
 
 def slot_cells(kind: GridKind, p: Coord) -> list[tuple[int, Coord]]:
@@ -267,7 +248,7 @@ def slot_cells(kind: GridKind, p: Coord) -> list[tuple[int, Coord]]:
 def contractibility_table(kind: GridKind) -> tuple[bool, ...]:
     """Definition 1 over every slot bitmask, for the election's hot path.
 
-    Entry `mask` is `is_s_contractible` at the origin for S the origin
+    Entry `mask` is `_window_contractible` at the origin for S the origin
     plus the slot cells whose bits are set in `mask`.
     """
     slots = slot_cells(kind, (0, 0))

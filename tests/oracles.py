@@ -2,16 +2,14 @@
 
 Everything here is written from the definitions, favoring obviousness
 over speed: BFS metrics, definition-level contractibility, flood-fill
-hole finding, exhaustive tree search, face-membership boundary
-classification, and the lower bounds on colors: a clique of each grid's
-k-th power and a brute-force chromatic number on small windows.  It
-imports no library code.  Library code must agree with these; the tests
-freeze the comparisons.
+hole finding, exhaustive tree search, and the lower bounds on colors: a
+clique of each grid's k-th power and a brute-force chromatic number on
+small windows.  It imports no library code.  Library code must agree
+with these; the tests freeze the comparisons.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 # Direction tables restated from the neighborhood definitions: four
@@ -354,94 +352,3 @@ def min_colors_bruteforce(kind, k, window) -> int:
             return limit
     raise AssertionError("unreachable")
 
-
-def _embed(kind, p):
-    """Planar drawing of a cell; the triangular grid shears so the six
-    directions sit at sixty-degree steps.  The vertical axis is flipped
-    because port order is clockwise on screen, which is the negative
-    orientation mathematically."""
-    if kind_name(kind) == "triangular":
-        return (p[0] + p[1] / 2.0, -p[1] * math.sqrt(3) / 2.0)
-    return (float(p[0]), -float(p[1]))
-
-
-def classify_walk(kind, cells, start, start_port):
-    """Boundary classification by summed geometric exterior angles.
-
-    Runs the same forwarding rule, but measures each hop's turn as the
-    real angle between embedded step vectors (a dead-end reversal pivots
-    minus pi, wrapping around the spike's tip).  One full negative turn
-    is the outer border, one positive turn a hole-side cycle.
-
-    On the square and triangular grids this provably coincides with what
-    the walk faces, so there the faced cells are checked against the
-    flood-fill pockets too.  The king grid is non-planar and a cycle of
-    mutually diagonal particles can wind positively around a crack that
-    contains no cell; no face check there.
-    """
-    cells = set(cells)
-    name = kind_name(kind)
-    dirs = DIRS[name]
-    d = len(dirs)
-
-    def occupied_ports(p):
-        return {a for a in range(d) if (p[0] + dirs[a][0], p[1] + dirs[a][1]) in cells}
-
-    if start not in cells:
-        raise ValueError("start is unoccupied")
-    if (start[0] + dirs[start_port][0], start[1] + dirs[start_port][1]) not in cells:
-        raise ValueError("start port has no occupied neighbor")
-    if len(cells) == 1:
-        return "outer", 0
-
-    def step_angle(port, origin):
-        tip = _embed(kind, (origin[0] + dirs[port][0], origin[1] + dirs[port][1]))
-        base = _embed(kind, origin)
-        return math.atan2(tip[1] - base[1], tip[0] - base[0])
-
-    cur, inp = start, start_port
-    faced = set()
-    total = 0.0
-    length = 0
-    while True:
-        if length > 4 * d * len(cells):
-            raise AssertionError("walk failed to close")
-        ports = occupied_ports(cur)
-        out = inp
-        scan = (inp + 1) % d
-        while True:
-            if scan in ports:
-                out = scan
-                break
-            faced.add((cur[0] + dirs[scan][0], cur[1] + dirs[scan][1]))
-            if scan == inp:
-                break
-            scan = (scan + 1) % d
-        # turn between the arrival heading (into cur) and the departure
-        incoming = step_angle((inp + d // 2) % d, cur)  # heading that entered cur
-        outgoing = step_angle(out, cur)
-        turn = outgoing - incoming
-        while turn > math.pi + 1e-9:
-            turn -= 2 * math.pi
-        while turn <= -math.pi + 1e-9:
-            turn += 2 * math.pi
-        if abs(abs(turn) - math.pi) < 1e-9:
-            turn = -math.pi  # dead-end reversal hugs the tip
-        total += turn
-        cur = (cur[0] + dirs[out][0], cur[1] + dirs[out][1])
-        inp = (out + d // 2) % d
-        length += 1
-        if (cur, inp) == (start, start_port):
-            break
-    if not faced:
-        raise ValueError("interior cycle")
-    assert abs(abs(total) - 2 * math.pi) < 1e-6, f"net turn {total}"
-    verdict = "outer" if total < 0 else "hole"
-    if name != "king":
-        pockets = holes(kind, cells)
-        pocket_cells = set().union(*pockets) if pockets else set()
-        if verdict == "hole":
-            assert faced <= pocket_cells, "positive walk faced the exterior"
-        else:
-            assert not (faced & pocket_cells), "negative walk faced a pocket"
-    return verdict, length

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from gridmatter.algorithms import (
     ElectProtocol,
     ParticleState,
     TreeProtocol,
-    classify_boundary,
     id_histogram,
     leader_of,
     port_steps,
@@ -22,7 +22,7 @@ from gridmatter.algorithms import (
 )
 from gridmatter.coloring import color_at, color_count, pattern, tracking_modulus
 from gridmatter.grid import GridKind, degree, neighbors, opposite_port, port_direction
-from gridmatter.particles import find_holes, is_s_contractible, make_config
+from gridmatter.particles import contractibility_table, find_holes, make_config, slot_cells
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
@@ -60,7 +60,6 @@ FIG_HOLE_TRI = [
     (3, 2), (2, 3), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3),
 ]
 RING = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
-PINCH = [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(1, 1), (2, 2)}]
 
 
 def grown_blob(kind, n, seed):
@@ -121,8 +120,11 @@ def test_election_walkthrough_round_by_round():
 def test_walkthrough_intermediate_candidate_set():
     cfg = make_config("triangular", WALK)
     after_one = frozenset(WALK) - WALK_RETIRED[1]
+    table = contractibility_table(cfg.kind)
     contractible = {
-        p for p in after_one if is_s_contractible(cfg, after_one, p)
+        p
+        for p in after_one
+        if table[sum(bit for bit, c in slot_cells(cfg.kind, p) if c in after_one)]
     }
     assert contractible == {(1, 0), (1, 2), (5, 1)}
 
@@ -137,7 +139,7 @@ def test_election_transitions_preserve_candidate_invariants(kind):
         if e.transition == "-" or e.algorithm != "elect":
             continue
         if e.transition == "C->N":
-            assert is_s_contractible(cfg, frozenset(cset), e.coord)
+            assert oracles.def1_contractible(cfg.kind, cset, e.coord)
             cset.discard(e.coord)
             assert oracles.connected(cfg.kind, cset)
             assert not oracles.holes(cfg.kind, cset)
@@ -189,7 +191,7 @@ def test_king_diamond_stalls_under_every_schedule(policy):
     # diamond stuck in C.
     cfg = make_config("king", DIAMOND)
     assert find_holes(cfg).count == 0
-    assert not any(is_s_contractible(cfg, cfg.occupied, p) for p in DIAMOND)
+    assert not any(oracles.def1_contractible("king", DIAMOND, p) for p in DIAMOND)
     res = run(cfg, ("elect",), Schedule(policy, seed=13))
     assert leader_of(res.states) is None
     survivors = {p for p, s in res.states.items() if s.status == STATUS_CANDIDATE}
@@ -414,8 +416,6 @@ def test_update_id_after_move_tracks_absolute_position(kind):
     for trial in range(60):
         offset = rng.randrange(d)
         state = start_states(kind)[offset]
-        from dataclasses import replace
-
         state = replace(state, coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0))
         pos = (0, 0)
         for _ in range(rng.randrange(1, 20)):
@@ -433,64 +433,12 @@ def test_update_id_requires_assigned_coordinates():
         update_id_after_move(GridKind.SQUARE, 1, state, 0)
 
 
-# ---------------------------------------------------------------------------
-# boundary walks
-
-
-def test_boundary_walk_outer_cases():
-    two = make_config("square", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert classify_boundary(two, (0, 0), 3) == ("outer", 4)
-    line = make_config("square", [(0, 0), (1, 0), (2, 0)])
-    assert classify_boundary(line, (1, 0), 0) == ("outer", 4)
-    lone = make_config("square", [(5, 5)])
-    assert classify_boundary(lone, (5, 5), 0) == ("outer", 0)
-    tri = make_config("triangular", WALK)
-    assert classify_boundary(tri, (0, 0), 3) == ("outer", 19)
-
-
-def test_boundary_walk_hole_cases():
-    ring = make_config("square", RING)
-    assert classify_boundary(ring, (1, 0), 2) == ("hole", 8)
-    assert classify_boundary(ring, (1, 0), 0) == ("outer", 8)
-    fig = make_config("triangular", FIG_HOLE_TRI)
-    assert classify_boundary(fig, (1, 1), 2) == ("hole", 9)
-
-
-def test_boundary_walk_pinched_holes_share_one_cycle():
-    pinch = make_config("square", PINCH)
-    assert find_holes(pinch).count == 2
-    # the inner walk hugs both single-cell holes in one 12-hop cycle,
-    # crossing the pinch diagonally; the outer walk is a separate cycle
-    assert classify_boundary(pinch, (1, 0), 2) == ("hole", 12)
-    assert classify_boundary(pinch, (0, 0), 2) == ("hole", 12)
-    assert classify_boundary(pinch, (0, 0), 3) == ("outer", 12)
-
-
-def test_boundary_walk_rejects_bad_starts():
-    two = make_config("square", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        classify_boundary(two, (9, 9), 0)
-    with pytest.raises(ValueError):
-        classify_boundary(two, (0, 0), 0)  # faces the exterior, no neighbor
-    block = make_config("square", [(i, j) for i in range(5) for j in range(5)])
-    with pytest.raises(ValueError):
-        classify_boundary(block, (2, 2), 0)  # interior orbit, never sees space
-    pinch = make_config("square", PINCH)
-    with pytest.raises(ValueError):
-        classify_boundary(pinch, (1, 0), 3)  # port points into the hole
-
-
 @pytest.mark.parametrize("kind", KINDS)
-def test_boundary_walks_agree_with_face_oracle(kind):
-    for seed in (1, 2, 3, 4):
-        cells = grown_blob(kind, 16 + seed, 900 + seed)
-        cfg = make_config(kind, cells)
-        for p in cells[::3]:
-            for a in range(degree(kind)):
-                try:
-                    lib = classify_boundary(cfg, p, a)
-                except ValueError:
-                    with pytest.raises((ValueError,)):
-                        oracles.classify_walk(kind, cells, p, a)
-                    continue
-                assert lib == oracles.classify_walk(kind, cells, p, a)
+def test_update_id_rejects_ports_out_of_range(kind):
+    # at offset 1 the port plus the offset, reduced mod d, is always a
+    # port; the move must still reject a port the particle does not have
+    d = degree(kind)
+    state = replace(start_states(kind)[1], coord_i=0, coord_j=0, local_id=0)
+    for port in (9, -1, d):
+        with pytest.raises(ValueError):
+            update_id_after_move(kind, 1, state, port)

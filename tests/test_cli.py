@@ -9,6 +9,7 @@ and the mutated-config property test runs in process through click's
 test runner, which keeps its hundreds of examples fast.
 """
 
+import ast
 import hashlib
 import os
 import random
@@ -48,7 +49,8 @@ from gridmatter.shapes import (
 
 import oracles
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def cli(*args, cwd=None):
@@ -783,6 +785,26 @@ def test_only_the_cli_imports_click():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # a name that `gridmatter` exports must appear as a word in another
+    # library module, in bench/ or in README, other than on its own
+    # def/class line: a name only the tests use does not belong in src/
+    pkg = ROOT / "src" / "gridmatter"
+    tree = ast.parse((pkg / "__init__.py").read_text())
+    names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    files = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
+    lines = [line for f in files for line in f.read_text().splitlines()]
+    unused = [
+        name for name in names
+        if not any(re.search(rf"\b{name}\b", line)
+                   and not re.match(rf"(def|class) {name}\b", line)
+                   for line in lines)
+    ]
+    assert names and unused == []
 
 
 def test_importing_the_oracles_loads_no_networkx():

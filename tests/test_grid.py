@@ -7,7 +7,6 @@ from gridmatter.grid import (
     degree,
     distance,
     neighbors,
-    next_occupied_port,
     opposite_port,
     port_direction,
 )
@@ -130,22 +129,3 @@ def test_distance_dominates_coordinate_gap(kind, a, b):
     # one step never moves either coordinate by more than one
     assert distance(kind, a, b) >= max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
-
-def test_next_occupied_port_scans_clockwise():
-    k = GridKind.SQUARE
-    assert next_occupied_port(k, 0, {1, 3}) == 1
-    assert next_occupied_port(k, 0, {3}) == 3
-    # wraps all the way around to the entry port itself
-    assert next_occupied_port(k, 2, {2}) == 2
-    assert next_occupied_port(k, 1, {0, 2}) == 2
-    with pytest.raises(ValueError):
-        next_occupied_port(k, 0, set())
-
-
-def test_next_occupied_port_on_wider_rings():
-    k = GridKind.KING
-    assert next_occupied_port(k, 7, {0, 1, 6}) == 0
-    assert next_occupied_port(k, 0, {0, 4}) == 4
-    t = GridKind.TRIANGULAR
-    assert next_occupied_port(t, 5, {0, 3}) == 0
-    assert next_occupied_port(t, 2, {1}) == 1

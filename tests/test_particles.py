@@ -12,16 +12,14 @@ from gridmatter.particles import (
     ParticleConfig,
     border,
     contractibility_table,
-    extended_neighborhood,
     find_holes,
     holes_and_border,
-    is_s_contractible,
     make_config,
     mtree,
-    occupied_ports,
     radius,
     removal_table,
     round_bound,
+    slot_cells,
     validate_config,
 )
 from gridmatter.shapes import gen_blob
@@ -102,23 +100,6 @@ def test_validate_config_lists_bad_offsets_in_cell_order():
         "frame offset 8 at (-1, 0) outside [0,6)",
         "frame offset 6 at (0, 0) outside [0,6)",
     ]
-
-
-def test_occupied_ports_examples():
-    c = make_config("square", [(0, 0), (1, 0), (0, 1)])
-    assert occupied_ports(c, (0, 0)) == {2, 3}
-    assert occupied_ports(c, (1, 0)) == {0}
-    t = make_config("triangular", [(0, 0), (1, -1)])
-    assert occupied_ports(t, (0, 0)) == {2}
-    assert occupied_ports(t, (1, -1)) == {5}
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_extended_neighborhood_size(kind):
-    m = extended_neighborhood(kind, (0, 0))
-    want = degree(kind) + (4 if kind == GridKind.SQUARE else 0)
-    assert len(m) == want
-    assert len(set(m)) == want
 
 
 def test_find_holes_counts():
@@ -210,28 +191,33 @@ def test_floods_match_oracles_on_small_sets(kind, cells):
     assert split == (not oracles.connected(kind, cells))
 
 
+def table_contractible(kind, s, p):
+    """`contractibility_table` at p's slot mask in s: the election's lookup."""
+    mask = sum(bit for bit, c in slot_cells(kind, p) if c in s)
+    return contractibility_table(kind)[mask]
+
+
 def test_contractibility_known_cases():
-    two = make_config("square", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    s = two.occupied
-    for p in s:
-        assert is_s_contractible(two, s, p)
-    line = make_config("square", [(0, 0), (1, 0), (2, 0)])
-    assert is_s_contractible(line, line.occupied, (0, 0))
-    assert is_s_contractible(line, line.occupied, (2, 0))
-    assert not is_s_contractible(line, line.occupied, (1, 0))
-    ring = make_config("square", RING)
-    for p in ring.occupied:
+    square = GridKind.SQUARE
+    two = frozenset([(0, 0), (0, 1), (1, 0), (1, 1)])
+    for p in two:
+        assert table_contractible(square, two, p)
+    line = frozenset([(0, 0), (1, 0), (2, 0)])
+    assert table_contractible(square, line, (0, 0))
+    assert table_contractible(square, line, (2, 0))
+    assert not table_contractible(square, line, (1, 0))
+    for p in RING:
         # removing any ring particle opens the hole into the exterior;
         # the neighborhood splits around the pocket
-        assert not is_s_contractible(ring, ring.occupied, p)
+        assert not table_contractible(square, RING, p)
 
 
 def test_contractibility_square_corner_membership_matters():
     # (1,0) and (0,1) only connect around (1,1) through the corner (0,0),
     # and what counts is the corner's membership in S, not mere occupancy
-    c = make_config("square", [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert is_s_contractible(c, c.occupied, (1, 1))
-    assert not is_s_contractible(c, frozenset({(1, 0), (0, 1), (1, 1)}), (1, 1))
+    square = GridKind.SQUARE
+    assert table_contractible(square, {(0, 0), (1, 0), (0, 1), (1, 1)}, (1, 1))
+    assert not table_contractible(square, {(1, 0), (0, 1), (1, 1)}, (1, 1))
 
 
 @pytest.mark.parametrize("kind", [GridKind.TRIANGULAR, GridKind.KING])
@@ -350,7 +336,7 @@ def test_contraction_progress_and_preservation(kind, seed, n):
     if find_holes(c).count:
         return
     s = c.occupied
-    removable = [p for p in s if is_s_contractible(c, s, p)]
+    removable = [p for p in s if table_contractible(kind, s, p)]
     if kind != "king":
         assert removable
     for p in removable:

@@ -15,7 +15,6 @@ from .grid import (
     distance,
     neighbors,
     opposite_port,
-    port_direction,
 )
 from .particles import (
     HoleReport,

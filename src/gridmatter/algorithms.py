@@ -55,7 +55,6 @@ from .grid import (
     degree,
     directions,
     opposite_port,
-    port_direction,
 )
 from .particles import (
     ParticleConfig,
@@ -169,8 +168,6 @@ class ElectProtocol:
     statuses only, sends nothing.
     """
 
-    name = ELECT
-
     def __init__(self, config: ParticleConfig):
         self.table = removal_table(config.kind)
         w = config.key_width
@@ -228,8 +225,6 @@ class TreeProtocol:
     then drops each child that, read from the snapshot, has joined under
     another parent.
     """
-
-    name = TREE
 
     def __init__(self, config: ParticleConfig):
         self.ports = port_keys(config.kind, config.key_width)
@@ -292,8 +287,6 @@ class RenumberProtocol:
     induction, the leader's.
     """
 
-    name = RENUMBER
-
     def __init__(self, config: ParticleConfig):
         d = self.d = degree(config.kind)
         # at frame offset 0 a local port is the canonical one
@@ -339,8 +332,6 @@ class IdsProtocol:
     working modulo the tracking modulus, and takes its identifier from
     the coloring pattern.  The root tracks (0, 0).
     """
-
-    name = IDS
 
     def __init__(self, config: ParticleConfig, k: int):
         self.d = degree(config.kind)
@@ -401,7 +392,7 @@ def update_id_after_move(
     if not 0 <= port < d:
         raise ValueError(f"port {port} out of range for {GridKind(kind).value} grid")
     canon = (port + state.frame_offset) % d
-    di, dj = port_direction(kind, canon)
+    di, dj = directions(kind)[canon]
     m = tracking_modulus(kind, k)
     i = (state.coord_i + di) % m
     j = (state.coord_j + dj) % m

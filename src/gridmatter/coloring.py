@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import eq
 from typing import Optional
 
-from .grid import Coord, GridKind, degree, distance, port_direction
+from .grid import Coord, GridKind, directions, distance
 
 
 def color_count(kind: GridKind, k: int) -> int:
@@ -98,14 +98,14 @@ def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
 @lru_cache(maxsize=None)
 def receive_update(kind: GridKind, k: int):
     """The receiver's tracked coordinates from the sender's `coords` and
-    the port of receipt a, as `update(coords, a)`, with the grid's port
-    directions and tracking modulus looked up once.
+    the port of receipt a, as `update(coords, a)`, with the grid's
+    `directions` table and tracking modulus looked up once.
 
     The receiving port a points back at the sender, so the receiver sits
     one step against that direction; both axes reduce modulo the
     tracking modulus.
     """
-    dirs = [port_direction(kind, a) for a in range(degree(kind))]
+    dirs = directions(kind)
     m = tracking_modulus(kind, k)
 
     def update(coords: Coord, a: int) -> Coord:

@@ -51,14 +51,6 @@ def degree(kind: GridKind) -> int:
     return len(_DIRECTIONS[kind])
 
 
-def port_direction(kind: GridKind, port: int) -> Coord:
-    """Lattice offset of the neighbor reached through `port` (canonical frame)."""
-    dirs = _DIRECTIONS[kind]
-    if not 0 <= port < len(dirs):
-        raise ValueError(f"port {port} out of range for {kind.value} grid")
-    return dirs[port]
-
-
 def neighbors(kind: GridKind, at: Coord) -> list[Coord]:
     """All grid neighbors of `at`, listed in cyclic port order."""
     i, j = at
@@ -90,6 +82,6 @@ def opposite_port(kind: GridKind, a: int) -> int:
     """
     d = degree(kind)
     if not 0 <= a < d:
-        raise ValueError(f"port {a} out of range for {kind.value} grid")
+        raise ValueError(f"port {a} out of range for {GridKind(kind).value} grid")
     return (a + d // 2) % d
 

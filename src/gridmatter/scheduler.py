@@ -26,7 +26,8 @@ mail.
 Inside a run every cell is the int key of `particles.key_width`; the
 states, the trace and every error leave the engine in (i, j)
 coordinates, converted once per run, and a shuffled order only when its
-round is recorded.
+round is recorded.  The policy and every explicit order are checked, and
+the orders keyed, once before the first phase.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algorithms
-from .grid import Coord, GridKind
+from .grid import Coord
 from .particles import ParticleConfig
 
 POLICY_ROUND_ROBIN = "round_robin"
@@ -56,7 +57,8 @@ class Schedule:
     Explicit orders are given per round, each naming every particle and
     no other cell (a particle may repeat); rounds past the provided list
     fall back to the sorted round-robin order, so quiescence confirmation
-    does not need to be spelled out.
+    does not need to be spelled out.  `run` checks every order, and the
+    policy, before the first phase, also an order no phase reaches.
     """
 
     policy: str = POLICY_ROUND_ROBIN
@@ -75,11 +77,11 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class TraceRound:
-    """One recorded round.  `changes` maps a position in `order` (an
-    explicit order may repeat a particle) to `(transition, messages)` for
-    each activation that changed state or sent; the rest were no-ops."""
+    """One recorded round; its number is its position in `log`, from 1.
+    `changes` maps a position in `order` (an explicit order may repeat a
+    particle) to `(transition, messages)` for each activation that
+    changed state or sent; the rest were no-ops."""
 
-    round: int
     algorithm: str
     order: Sequence[Coord]
     changes: dict[int, tuple[str, int]]
@@ -104,10 +106,10 @@ class TraceEvents:
         return sum(len(r.order) for r in self._log)
 
     def __iter__(self):
-        for r in self._log:
+        for number, r in enumerate(self._log, 1):
             get = r.changes.get
             for pos, p in enumerate(r.order):
-                yield TraceEvent(r.round, p, r.algorithm, *get(pos, _NO_CHANGE))
+                yield TraceEvent(number, p, r.algorithm, *get(pos, _NO_CHANGE))
 
 
 @dataclass
@@ -116,8 +118,6 @@ class RunTrace:
     `to_text()` expand the rounds on each call, in memory proportional
     to what they return."""
 
-    kind: GridKind
-    coords: tuple[Coord, ...]
     log: list[TraceRound] = field(default_factory=list)
     rounds: int = 0
     activations: int = 0
@@ -129,8 +129,8 @@ class RunTrace:
     def to_text(self) -> str:
         # one string per round, so only one round's lines are live at once
         rounds = []
-        for r in self.log:
-            head, tail = f"{r.round}\t", f"\t{r.algorithm}\t"
+        for number, r in enumerate(self.log, 1):
+            head, tail = f"{number}\t", f"\t{r.algorithm}\t"
             get = r.changes.get
             lines = []
             for pos, (i, j) in enumerate(r.order):
@@ -172,29 +172,25 @@ def _shuffled(items: list, rng: random.Random) -> list:
     return order
 
 
-def _order_for_round(
-    schedule: Schedule,
-    particles: list[Coord],
-    round_index: int,
-    rng: random.Random,
-) -> list[Coord]:
-    if schedule.policy == POLICY_ROUND_ROBIN:
-        return particles
-    if schedule.policy == POLICY_RANDOM:
-        return _shuffled(particles, rng)
-    if schedule.policy == POLICY_EXPLICIT:
-        if schedule.orders and round_index < len(schedule.orders):
-            order = list(schedule.orders[round_index])
-            listed, members = set(order), set(particles)
-            if listed != members:
-                raise SimulationError(
-                    f"explicit order for round {round_index} skips "
-                    f"{sorted(members - listed)}, names empty cells "
-                    f"{sorted(listed - members)}"
-                )
-            return order
-        return particles
-    raise SimulationError(f"unknown schedule policy {schedule.policy!r}")
+def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[list[int]]:
+    """The int keys of each explicit order of `schedule`, every order
+    checked against `particles`; none for the other policies."""
+    if schedule.policy in (POLICY_ROUND_ROBIN, POLICY_RANDOM):
+        return []
+    if schedule.policy != POLICY_EXPLICIT:
+        raise SimulationError(f"unknown schedule policy {schedule.policy!r}")
+    members = set(particles)
+    keyed = []
+    for round_index, order in enumerate(schedule.orders or ()):
+        listed = set(order)
+        if listed != members:
+            raise SimulationError(
+                f"explicit order for round {round_index} skips "
+                f"{sorted(members - listed)}, names empty cells "
+                f"{sorted(listed - members)}"
+            )
+        keyed.append([i * w + j for i, j in order])
+    return keyed
 
 
 def run(
@@ -218,16 +214,14 @@ def run(
 
     w = config.key_width
     keys = [i * w + j for i, j in particles]
-    coord_of: Optional[dict[int, Coord]] = None  # made for a recorded shuffle
-    # a fixed or explicit order is the same in every phase: per round
-    # index, checked on coordinates once, then keyed
-    fixed: dict[int, tuple[list[int], Sequence[Coord]]] = {}
+    orders = _keyed_orders(schedule, particles, w)
+    coord_of = dict(zip(keys, particles)) if shuffles and record else None
     start = algorithms.start_states(config.kind)
     offset = config.frame_offsets.get
     states = {q: start[offset(p, 0)] for p, q in zip(particles, keys)}
     # mail as (receiver's local port of arrival, payload) pairs
     inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
-    trace = RunTrace(kind=config.kind, coords=tuple(particles))
+    trace = RunTrace()
     reports: list[AlgorithmReport] = []
     steps = algorithms.port_keys(config.kind, w)
     d = len(steps)
@@ -245,19 +239,12 @@ def run(
             if shuffles:
                 # a shuffle's permutation depends only on the length, so
                 # the keys come out in the coordinates' order
-                order = shown = _order_for_round(schedule, keys, phase_round, rng)
-                if record:
-                    if coord_of is None:
-                        coord_of = dict(zip(keys, particles))
-                    shown = list(map(coord_of.__getitem__, order))
+                order = _shuffled(keys, rng)
+                shown = list(map(coord_of.__getitem__, order)) if record else order
+            elif phase_round < len(orders):
+                order, shown = orders[phase_round], schedule.orders[phase_round]
             else:
-                if phase_round not in fixed:
-                    shown = _order_for_round(schedule, particles, phase_round, rng)
-                    fixed[phase_round] = (
-                        keys if shown is particles else [i * w + j for i, j in shown],
-                        shown,
-                    )
-                order, shown = fixed[phase_round]
+                order, shown = keys, particles
             if trace.activations + len(order) > cap:
                 raise SimulationError(f"activation cap {cap} exceeded during {name}")
             trace.activations += len(order)
@@ -265,7 +252,7 @@ def run(
             round_sends = 0
             changes: dict[int, tuple[str, int]] = {}
             if record:
-                trace.log.append(TraceRound(trace.rounds + 1, name, shown, changes))
+                trace.log.append(TraceRound(name, shown, changes))
             # only a step wakes a particle, so once none is awake the rest
             # of the round is no-ops: it is drawn, recorded and counted only
             for pos, p in enumerate(order if awake else ()):

@@ -41,7 +41,7 @@ from gridmatter.coloring import (
     tracking_modulus,
     verify_coloring,
 )
-from gridmatter.grid import GridKind, degree, port_direction
+from gridmatter.grid import GridKind, degree
 from gridmatter.particles import (
     contractibility_table,
     find_holes,
@@ -223,10 +223,10 @@ def _planted_run(kind, cells, retirements):
     cfg = make_config(kind, cells)
     order = tuple(sorted(cells))
     log = [
-        TraceRound(r + 1, "elect", order, {order.index(p): (transition, 0)})
-        for r, (p, transition) in enumerate(retirements)
+        TraceRound("elect", order, {order.index(p): (transition, 0)})
+        for p, transition in retirements
     ]
-    trace = RunTrace(kind=cfg.kind, coords=order, log=log, rounds=len(log) + 1)
+    trace = RunTrace(log=log, rounds=len(log) + 1)
     report = AlgorithmReport(
         "elect", rounds_active=len(log), rounds_total=len(log) + 1, messages=0,
         sends=0,
@@ -379,7 +379,7 @@ def test_criterion_4_local_detection_exhaustive():
                 for corners in corner_opts:
                     s = {origin}
                     for a in ports:
-                        di, dj = port_direction(kind, a)
+                        di, dj = oracles.DIRS[kind.value][a]
                         s.add((di, dj))
                     slots = mask
                     if corners is not None:
@@ -516,7 +516,7 @@ def test_criterion_8_identifier_soundness():
                 for _ in range(rng.randrange(1, 21)):
                     port = rng.randrange(d)
                     state = update_id_after_move(kind, k, state, port)
-                    di, dj = port_direction(kind, (port + offset) % d)
+                    di, dj = oracles.DIRS[kind.value][(port + offset) % d]
                     pos = (pos[0] + di, pos[1] + dj)
                 assert (state.coord_i, state.coord_j) == (pos[0] % m, pos[1] % m)
                 assert state.local_id == color_at(pat, pos[0] % m, pos[1] % m)

@@ -21,7 +21,7 @@ from gridmatter.algorithms import (
     update_id_after_move,
 )
 from gridmatter.coloring import color_at, color_count, pattern, tracking_modulus
-from gridmatter.grid import GridKind, degree, neighbors, opposite_port, port_direction
+from gridmatter.grid import GridKind, degree, neighbors, opposite_port
 from gridmatter.particles import contractibility_table, find_holes, make_config, slot_cells
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
@@ -369,7 +369,7 @@ def test_renumber_makes_tree_ports_reciprocal_locally():
         # literally the parent's child port
         assert back in states[parent].child_ports
         canon = (s.parent_port + s.frame_offset) % d
-        di, dj = port_direction(cfg.kind, canon)
+        di, dj = oracles.DIRS[cfg.kind.value][canon]
         assert (p[0] + di, p[1] + dj) == parent
 
 
@@ -421,7 +421,7 @@ def test_update_id_after_move_tracks_absolute_position(kind):
         for _ in range(rng.randrange(1, 20)):
             port = rng.randrange(d)
             state = update_id_after_move(kind, k, state, port)
-            di, dj = port_direction(kind, (port + offset) % d)
+            di, dj = oracles.DIRS[kind.value][(port + offset) % d]
             pos = (pos[0] + di, pos[1] + dj)
         assert (state.coord_i, state.coord_j) == (pos[0] % m, pos[1] % m)
         assert state.local_id == color_at(pat, pos[0] % m, pos[1] % m)

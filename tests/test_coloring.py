@@ -17,7 +17,7 @@ from gridmatter.coloring import (
     tracking_modulus,
     verify_coloring,
 )
-from gridmatter.grid import GridKind, degree, opposite_port, port_direction
+from gridmatter.grid import GridKind, degree, opposite_port
 
 import oracles
 
@@ -208,7 +208,7 @@ def test_coord_update_round_trips(kind, k, i, j, a):
     there = update(start, a)
     back = update(there, opposite_port(kind, a))
     assert back == start
-    di, dj = port_direction(kind, a)
+    di, dj = oracles.DIRS[kind.value][a]
     assert there == ((start[0] - di) % m, (start[1] - dj) % m)
 
 

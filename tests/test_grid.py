@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from gridmatter.grid import (
     GridKind,
     degree,
+    directions,
     distance,
     neighbors,
     opposite_port,
-    port_direction,
 )
 
 import oracles
@@ -48,17 +48,17 @@ def test_kind_accepts_plain_strings():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_port_direction_table(kind):
-    got = [port_direction(kind, a) for a in range(degree(kind))]
+    got = list(directions(kind))
     assert got == EXPECTED_DIRS[kind]
     assert len(set(got)) == degree(kind)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_port_direction_rejects_out_of_range(kind):
-    with pytest.raises(ValueError):
-        port_direction(kind, degree(kind))
-    with pytest.raises(ValueError):
-        port_direction(kind, -1)
+@pytest.mark.parametrize("kind", ["square", "triangular", "king"])
+def test_opposite_port_rejects_out_of_range(kind):
+    # a plain-string kind, as `neighbors` and `degree` accept
+    for port in (-1, degree(kind)):
+        with pytest.raises(ValueError, match=f"^port {port} out of range for {kind} grid$"):
+            opposite_port(kind, port)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -68,8 +68,8 @@ def test_opposite_port_is_a_half_turn(kind):
         b = opposite_port(kind, a)
         assert b == (a + d // 2) % d
         assert opposite_port(kind, b) == a
-        di, dj = port_direction(kind, a)
-        assert port_direction(kind, b) == (-di, -dj)
+        di, dj = directions(kind)[a]
+        assert directions(kind)[b] == (-di, -dj)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -78,7 +78,7 @@ def test_neighbors_follow_ports(kind):
     ns = neighbors(kind, p)
     assert len(ns) == degree(kind)
     for a, q in enumerate(ns):
-        di, dj = port_direction(kind, a)
+        di, dj = directions(kind)[a]
         assert q == (p[0] + di, p[1] + dj)
 
 

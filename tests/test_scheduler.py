@@ -15,15 +15,13 @@ from gridmatter.scheduler import (
     POLICY_RANDOM,
     POLICY_ROUND_ROBIN,
     AlgorithmReport,
-    RunTrace,
     Schedule,
     SimulationError,
     TraceEvent,
-    TraceRound,
-    _order_for_round,
+    _shuffled,
     run,
 )
-from gridmatter.grid import GridKind, directions, distance
+from gridmatter.grid import GridKind, directions
 from gridmatter.shapes import gen_blob, gen_rect, random_offsets
 
 TWO = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -69,6 +67,25 @@ def test_explicit_orders_must_cover_every_particle():
     assert str(err.value) == (
         "explicit order for round 0 skips [(1, 0)], names empty cells [(0, 3)]"
     )
+
+
+def test_every_explicit_order_is_checked_before_the_first_phase():
+    cfg = make_config("square", TWO)
+    ok, bad = tuple(TWO), ((0, 0), (0, 1), (1, 0))
+    # elect ends in 2 rounds, so no phase reaches round 20
+    assert run(cfg, ("elect",), Schedule()).trace.rounds == 2
+    with pytest.raises(SimulationError) as err:
+        run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(ok,) * 20 + (bad,)))
+    assert str(err.value) == (
+        "explicit order for round 20 skips [(1, 1)], names empty cells []"
+    )
+
+
+def test_unknown_policy_raises_even_with_an_empty_pipeline():
+    cfg = make_config("square", TWO)
+    with pytest.raises(SimulationError) as err:
+        run(cfg, (), Schedule(policy="bogus"))
+    assert str(err.value) == "unknown schedule policy 'bogus'"
 
 
 def test_explicit_orders_fall_back_to_sorted_when_exhausted():
@@ -134,74 +151,6 @@ def test_record_false_keeps_counters_only():
     assert len(res.trace.events) == 0
     assert res.trace.rounds >= 2
     assert leader_of(res.states) in TWO
-
-
-def _trace_with(coords, order):
-    # one round of no-op activations in the given order
-    return RunTrace(kind=GridKind.SQUARE, coords=tuple(coords),
-                    log=[TraceRound(0, "elect", list(order), {})])
-
-
-def count_rounds(trace):
-    """Completed rounds, recomputed from the activation sequence alone."""
-    universe = set(trace.coords)
-    pending = set(universe)
-    completed = 0
-    for r in trace.log:
-        for p in r.order:
-            pending.discard(p)
-            if not pending:
-                completed += 1
-                pending = set(universe)
-    return completed
-
-
-def check_exclusion(trace, groups):
-    """Distance-2 exclusion audit for hypothetical concurrent batches.
-
-    Each group is a collection of event indices meant to run together;
-    every pair of activated particles within a group at grid distance
-    two or less is reported as (group index, a, b).
-    """
-    activated = [p for r in trace.log for p in r.order]
-    violations = []
-    for batch_index, group in enumerate(groups):
-        coords = [activated[i] for i in group]
-        for x in range(len(coords)):
-            for y in range(x + 1, len(coords)):
-                a, b = coords[x], coords[y]
-                if distance(trace.kind, a, b) <= 2:
-                    violations.append((batch_index, a, b))
-    return violations
-
-
-def test_count_rounds_requires_full_coverage():
-    a, b = (0, 0), (5, 0)
-    assert count_rounds(_trace_with([a, b], [a, b, a, b])) == 2
-    assert count_rounds(_trace_with([a, b], [a, a, a, b])) == 1
-    assert count_rounds(_trace_with([a, b], [a, a, a])) == 0
-    assert count_rounds(_trace_with([a], [a, a, a])) == 3
-
-
-def test_check_exclusion_flags_close_pairs():
-    a, b, c = (0, 0), (1, 0), (5, 5)
-    t = _trace_with([a, b, c], [a, b, c, a, c, a, a])
-    # batches: {a,b} adjacent -> violation, {c,a} far apart -> fine,
-    # {a,a} the same particle twice -> violation at distance zero
-    groups = [(0, 1), (3, 4), (5, 6)]
-    out = check_exclusion(t, groups)
-    assert (0, a, b) in out
-    assert (2, a, a) in out
-    assert all(batch != 1 for batch, *_ in out)
-
-
-def test_check_exclusion_distance_two_counts():
-    a, b = (0, 0), (2, 0)
-    t = _trace_with([a, b], [a, b])
-    assert check_exclusion(t, [(0, 1)]) == [(0, a, b)]
-    far = (3, 0)
-    t2 = _trace_with([a, far], [a, far])
-    assert check_exclusion(t2, [(0, 1)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +505,12 @@ def test_random_order_is_random_shuffle_of_sorted_particles(n):
     # changes random.shuffle or _randbelow breaks this test first
     particles = sorted((i % 40, i // 40) for i in range(n))
     before = list(particles)
-    schedule = Schedule(POLICY_RANDOM)
     for seed in (0, 1, 7, 2**31 - 1):
         ours, ref = random.Random(seed), random.Random(seed)
-        for round_index in range(3):
+        for _ in range(3):
             expected = list(particles)
             ref.shuffle(expected)
-            assert _order_for_round(schedule, particles, round_index, ours) == expected
+            assert _shuffled(particles, ours) == expected
             assert ours.getstate() == ref.getstate()
     assert particles == before
 
@@ -577,9 +525,12 @@ def _reference_run(config, pipeline, schedule, k):
 
     Also asserts what the engine and the tree step take from sequential,
     immediate delivery: every phase starts with empty inboxes, and no
-    mail reaches a particle after it has joined the tree.
+    mail reaches a particle after it has joined the tree.  Draws its own
+    orders: `random.shuffle` of the sorted particles, the explicit order
+    while there is one, the sorted particles otherwise.
     """
-    particles = config.particles()
+    particles = sorted(config.occupied)
+    explicit = schedule.orders or ()
     rng = random.Random(schedule.seed)
     w = key_width(particles)
     key = {p: p[0] * w + p[1] for p in particles}
@@ -594,7 +545,13 @@ def _reference_run(config, pipeline, schedule, k):
         assert not any(inboxes.values()), name
         phase_round = active = messages = sends = 0
         while True:
-            order = _order_for_round(schedule, particles, phase_round, rng)
+            if schedule.policy == POLICY_RANDOM:
+                order = list(particles)
+                rng.shuffle(order)
+            elif phase_round < len(explicit):
+                order = explicit[phase_round]
+            else:
+                order = particles
             phase_round += 1
             rounds += 1
             changed_any, round_sends = False, 0
@@ -687,8 +644,8 @@ def test_run_equals_the_reference_engine_on_a_200_particle_blob(kind, policy):
 
 def _events_list(trace):
     return [
-        TraceEvent(r.round, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
-        for r in trace.log
+        TraceEvent(number, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
+        for number, r in enumerate(trace.log, 1)
         for pos, p in enumerate(r.order)
     ]
 

@@ -6,12 +6,13 @@ the int i * w + j of `particles.key_width`, so p is such a key, `states`
 maps the particles' keys to their states, and the cell (di, dj) away
 from p is the key p + di * w + dj.  Given the particle's state and
 inbox, a list of (via_port, payload) pairs, a step returns the next
-state, the messages to emit as (local port, payload) pairs, how many it
-accepted, and the keys of the particles its change wakes.  Port numbers
-held in particle state (parent_port, child_ports) are always in the
-particle's own frame; the engine translates to the receiver's frame on
-delivery.  Each protocol builds its per-grid tables once, at
-construction.
+state, the messages to emit as (local port, payload) pairs, and the
+keys of the particles its change wakes.  Port numbers held in particle
+state (parent_port, and child_ports, a tuple in increasing order) are
+always in the particle's own frame; the engine translates to the
+receiver's frame on delivery.  A payload is None (tree), the sender's
+port label (renumber) or its tracked residue pair (ids).  Each protocol
+builds its per-grid tables once, at construction.
 
 A step must return the identical state object when nothing changed;
 quiescence detection relies on it.  A step reads nothing but p, its own
@@ -77,14 +78,13 @@ PIPELINE_FULL = (ELECT, TREE, RENUMBER, IDS)
 class ParticleState:
     status: str = STATUS_CANDIDATE
     parent_port: Optional[int] = None
-    child_ports: frozenset = frozenset()
+    child_ports: tuple = ()  # increasing
     coord_i: Optional[int] = None
     coord_j: Optional[int] = None
     local_id: Optional[int] = None
     frame_offset: int = 0
     tree_joined: bool = False
     renumber_done: bool = False
-    ids_done: bool = False
 
     def parent_direction(self, d: int) -> Optional[int]:
         """The canonical direction (of `d`) the parent port faces, or None:
@@ -152,7 +152,7 @@ CAN_ACT = {
     ELECT: lambda s: s.status == STATUS_CANDIDATE,
     TREE: lambda s: bool(s.child_ports) if s.tree_joined else s.status == STATUS_LEADER,
     RENUMBER: lambda s: s.status == STATUS_LEADER and not s.renumber_done,
-    IDS: lambda s: s.status == STATUS_LEADER and not s.ids_done,
+    IDS: lambda s: s.status == STATUS_LEADER and s.local_id is None,
 }
 
 
@@ -181,7 +181,7 @@ class ElectProtocol:
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
-            return state, (), 0, ()
+            return state, (), ()
         get = states.get
         mask = 0
         for bit, o in self.slots:
@@ -189,30 +189,17 @@ class ElectProtocol:
             if qs is not None and qs.status == STATUS_CANDIDATE:
                 mask |= bit
         if not self.table[mask]:
-            return state, (), 0, ()
+            return state, (), ()
         # a candidate neighbor through a port (not a corner) means others remain
         status = STATUS_NON_CANDIDATE if mask & self.port_bits else STATUS_LEADER
         key = (id(state), status)
         if key not in self.successors:
             self.successors[key] = (state, _evolve(state, status=status))
         woken = [p + o for bit, o in self.slots if mask & bit]
-        return self.successors[key][1], (), 0, woken
+        return self.successors[key][1], (), woken
 
     def describe(self, old, new):
         return f"{old.status}->{new.status}"
-
-
-class _PerPortSet(dict):
-    """A value per child-port set (or per such set and a shift), made by
-    `make` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class TreeProtocol:
@@ -228,13 +215,11 @@ class TreeProtocol:
 
     def __init__(self, config: ParticleConfig):
         self.ports = port_keys(config.kind, config.key_width)
-        d = self.d = len(self.ports)
-        self.sends = tuple((a, (TREE,)) for a in range(d))
-        self.kids = _PerPortSet(lambda ports: ",".join(map(str, sorted(ports))) or "-")
+        self.d = len(self.ports)
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined and not inbox and state.status != STATUS_LEADER:
-            return state, (), 0, ()
+            return state, (), ()
         hop = self.ports[state.frame_offset]
         if not state.tree_joined:
             got = 0  # the ports mail came through, as bits
@@ -249,12 +234,12 @@ class TreeProtocol:
                 state,
                 tree_joined=True,
                 parent_port=inbox[0][0] if inbox else None,
-                child_ports=frozenset(kids),
+                child_ports=tuple(kids),
             )
             # every sender but the parent now finds p joined under a
             # parent port that does not face it
             woken = [p + hop[via][0] for via, _ in inbox[1:]]
-            return new, [self.sends[a] for a in kids], 1 if inbox else 0, woken
+            return new, [(a, None) for a in kids], woken
         # joined, so its inbox is empty: keep each child unless it has
         # joined under a parent port that does not face p
         d = self.d
@@ -265,11 +250,11 @@ class TreeProtocol:
             if not qs.tree_joined or qs.parent_direction(d) == back:
                 kept.append(a)
         if len(kept) == len(state.child_ports):
-            return state, (), 0, ()
-        return _evolve(state, child_ports=frozenset(kept)), (), 0, ()
+            return state, (), ()
+        return _evolve(state, child_ports=tuple(kept)), (), ()
 
     def describe(self, old, new):
-        kids = self.kids[new.child_ports]
+        kids = ",".join(map(str, new.child_ports)) or "-"
         if not old.tree_joined and new.tree_joined:
             if new.status == STATUS_LEADER:
                 return f"root children={kids}"
@@ -288,35 +273,29 @@ class RenumberProtocol:
     """
 
     def __init__(self, config: ParticleConfig):
-        d = self.d = degree(config.kind)
+        self.d = degree(config.kind)
         # at frame offset 0 a local port is the canonical one
         self.opposite = tuple(back for _, _, back in port_steps(config.kind)[0])
-        self.sends = _PerPortSet(
-            lambda ports: tuple((a, (RENUMBER, a)) for a in sorted(ports))
-        )
-        self.rotated = _PerPortSet(
-            lambda key: frozenset((a + key[1]) % d for a in key[0])
-        )
 
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
             if state.renumber_done:
-                return state, (), 0, ()
+                return state, (), ()
             new = _evolve(state, renumber_done=True)
-            return new, self.sends[state.child_ports], 0, ()
+            return new, [(a, a) for a in state.child_ports], ()
         if state.renumber_done or not inbox:
-            return state, (), 0, ()
+            return state, (), ()
         d = self.d
-        via, (_, b) = inbox[0]
+        via, b = inbox[0]
         shift = (self.opposite[b] - via) % d
         new = _evolve(
             state,
             renumber_done=True,
             frame_offset=(state.frame_offset - shift) % d,
             parent_port=(state.parent_port + shift) % d,
-            child_ports=self.rotated[state.child_ports, shift],
+            child_ports=tuple(sorted((a + shift) % d for a in state.child_ports)),
         )
-        return new, self.sends[new.child_ports], 1, ()
+        return new, [(a, a) for a in new.child_ports], ()
 
     def describe(self, old, new):
         if new.status == STATUS_LEADER:
@@ -337,29 +316,18 @@ class IdsProtocol:
         self.d = degree(config.kind)
         self.pattern = pattern(config.kind, k)
         self.receive = receive_update(config.kind, k)
-        self.order = _PerPortSet(lambda ports: tuple(sorted(ports)))
 
     def step(self, p, state, inbox, states):
-        if state.status == STATUS_LEADER:
-            if state.ids_done:
-                return state, (), 0, ()
-            i, j, accepted = 0, 0, 0
-        elif state.ids_done or not inbox:
-            return state, (), 0, ()
-        else:
-            via, (_, i, j) = inbox[0]
-            canon = (via + state.frame_offset) % self.d
-            i, j = self.receive((i, j), canon)
-            accepted = 1
-        new = _evolve(
-            state,
-            ids_done=True,
-            coord_i=i,
-            coord_j=j,
-            local_id=color_at(self.pattern, i, j),
-        )
-        payload = (IDS, i, j)
-        return new, [(a, payload) for a in self.order[state.child_ports]], accepted, ()
+        if state.local_id is not None or not (inbox or state.status == STATUS_LEADER):
+            return state, (), ()
+        if inbox:
+            via, got = inbox[0]
+            i, j = self.receive(got, (via + state.frame_offset) % self.d)
+        else:  # the leader, which no mail reaches
+            i, j = 0, 0
+        new = _evolve(state, coord_i=i, coord_j=j, local_id=color_at(self.pattern, i, j))
+        payload = (i, j)
+        return new, [(a, payload) for a in state.child_ports], ()
 
     def describe(self, old, new):
         return f"coords=({new.coord_i},{new.coord_j}) id={new.local_id}"
@@ -430,7 +398,7 @@ def tree_height(kind: GridKind, states: dict) -> int:
         s = states[p]
         hop = steps[s.frame_offset]
         level = depth[p] + 1
-        for a in sorted(s.child_ports):
+        for a in s.child_ports:
             di, dj, _ = hop[a]
             q = (p[0] + di, p[1] + dj)
             if q not in states:

@@ -145,7 +145,7 @@ class AlgorithmReport:
     name: str
     rounds_active: int  # rounds containing at least one state change
     rounds_total: int  # includes the final confirming round
-    messages: int  # accepted
+    messages: int  # taken in: steps with mail that changed state
     sends: int  # emitted
 
 
@@ -182,8 +182,17 @@ def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[li
     members = set(particles)
     keyed = []
     for round_index, order in enumerate(schedule.orders or ()):
-        listed = set(order)
+        try:
+            listed = set(order)
+        except TypeError:  # an unhashable cell
+            listed = None
         if listed != members:
+            for cell in order:  # particles are (int, int) tuples
+                if type(cell) is not tuple or list(map(type, cell)) != [int, int]:
+                    raise SimulationError(
+                        f"explicit order for round {round_index} names {cell!r}, "
+                        "not an (i, j) cell"
+                    )
             raise SimulationError(
                 f"explicit order for round {round_index} skips "
                 f"{sorted(members - listed)}, names empty cells "
@@ -262,14 +271,15 @@ def run(
                 if inbox:
                     inboxes[p] = []
                 state = states[p]
-                new_state, outbox, accepted, woken = step(p, state, inbox, states)
+                new_state, outbox, woken = step(p, state, inbox, states)
                 awake.discard(p)
                 changed = new_state is not state
                 if changed:
                     states[p] = new_state
                     round_changed = True
                     awake.update(woken)
-                phase_msgs += accepted
+                    if inbox:
+                        phase_msgs += 1
                 if outbox:
                     hop = steps[new_state.frame_offset]
                     for local_port, payload in outbox:

@@ -90,7 +90,7 @@ def test_single_particle_elects_itself():
     state = start_states(cfg.kind)[cfg.offset((7, -3))]
     assert state.status == STATUS_CANDIDATE
     p = 7 * 2 - 3  # the int key i * w + j, w = 2 for a single column
-    new, _, _, woken = ElectProtocol(cfg).step(p, state, [], {p: state})
+    new, _, woken = ElectProtocol(cfg).step(p, state, [], {p: state})
     assert new.status == STATUS_LEADER and not woken
 
 
@@ -306,7 +306,8 @@ def test_tree_helpers_reject_disconnected_pointers():
     back = opposite_port(cfg.kind, states[leaf].parent_port)
     assert back in states[parent].child_ports
     states[parent] = replace(
-        states[parent], child_ports=states[parent].child_ports - {back}
+        states[parent],
+        child_ports=tuple(a for a in states[parent].child_ports if a != back),
     )
     with pytest.raises(ValueError):
         tree_height(cfg.kind, states)
@@ -314,27 +315,24 @@ def test_tree_helpers_reject_disconnected_pointers():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_tree_describe_formats_every_child_port_subset(kind):
-    # describe caches the child-port text of each port set per protocol;
-    # the second pass reads every entry back from that cache
     d = degree(kind)
     proto = TreeProtocol(make_config(kind, [(0, 0)]))
     unjoined, unjoined_root = ParticleState(), ParticleState(status=STATUS_LEADER)
-    for _ in range(2):
-        for mask in range(1 << d):
-            ports = frozenset(a for a in range(d) if mask >> a & 1)
-            kids = ",".join(str(a) for a in sorted(ports)) or "-"
-            joined = ParticleState(
-                status=STATUS_NON_CANDIDATE, tree_joined=True, parent_port=mask % d,
-                child_ports=ports,
-            )
-            root = ParticleState(status=STATUS_LEADER, tree_joined=True, child_ports=ports)
-            full = ParticleState(tree_joined=True, child_ports=frozenset(range(d)))
-            assert proto.describe(unjoined, joined) == (
-                f"join parent={mask % d} children={kids}"
-            )
-            assert proto.describe(unjoined_root, root) == f"root children={kids}"
-            assert proto.describe(full, joined) == f"prune children={kids}"
-            assert proto.describe(full, root) == f"prune children={kids}"
+    for mask in range(1 << d):
+        ports = tuple(a for a in range(d) if mask >> a & 1)
+        kids = ",".join(str(a) for a in ports) or "-"
+        joined = ParticleState(
+            status=STATUS_NON_CANDIDATE, tree_joined=True, parent_port=mask % d,
+            child_ports=ports,
+        )
+        root = ParticleState(status=STATUS_LEADER, tree_joined=True, child_ports=ports)
+        full = ParticleState(tree_joined=True, child_ports=tuple(range(d)))
+        assert proto.describe(unjoined, joined) == (
+            f"join parent={mask % d} children={kids}"
+        )
+        assert proto.describe(unjoined_root, root) == f"root children={kids}"
+        assert proto.describe(full, joined) == f"prune children={kids}"
+        assert proto.describe(full, root) == f"prune children={kids}"
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,7 @@ def test_ids_equal_displacement_mod_tracking(kind):
         assert (s.coord_i, s.coord_j) == want
         assert s.local_id == color_at(pat, *want)
         assert 0 <= s.local_id < color_count(kind, k)
-        assert s.ids_done
+        assert s.local_id is not None
 
 
 def test_id_histogram_counts():

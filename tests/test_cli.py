@@ -439,7 +439,7 @@ def test_verify_run_reports_planted_violations():
     assert climod.verify_run(cfg, 1, states) == ["leaders=2"]
 
     states = dict(clean)
-    _plant(states, (0, 1), child_ports=frozenset())
+    _plant(states, (0, 1), child_ports=())
     assert climod.verify_run(cfg, 1, states) == [
         "tree-span: tree does not span the system",
         "tree-reciprocity: (0, 0)<->(0, 1)",
@@ -449,7 +449,7 @@ def test_verify_run_reports_planted_violations():
     states = dict(clean)
     s = states[(0, 0)]
     # a child port toward the empty cell (-1, 0)
-    _plant(states, (0, 0), child_ports=frozenset({(0 - s.frame_offset) % 4}))
+    _plant(states, (0, 0), child_ports=((0 - s.frame_offset) % 4,))
     assert climod.verify_run(cfg, 1, states) == [
         "tree-span: child (-1, 0) of (0, 0) is not a particle",
     ]

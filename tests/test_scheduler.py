@@ -67,6 +67,14 @@ def test_explicit_orders_must_cover_every_particle():
     assert str(err.value) == (
         "explicit order for round 0 skips [(1, 0)], names empty cells [(0, 3)]"
     )
+    # cells that are not (i, j) tuples: unhashable lists, and an int that
+    # would not sort with the tuples
+    for order, cell in (([[0, 0], [0, 1]], "[0, 0]"), (((0, 0), (0, 1), 5, (9, 9)), "5")):
+        with pytest.raises(SimulationError) as err:
+            run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(order,)))
+        assert str(err.value) == (
+            f"explicit order for round 0 names {cell}, not an (i, j) cell"
+        )
 
 
 def test_every_explicit_order_is_checked_before_the_first_phase():
@@ -183,7 +191,7 @@ def _states_text(states):
     return repr([
         (p, s.status, s.parent_port, sorted(s.child_ports), s.coord_i, s.coord_j,
          s.local_id, s.frame_offset, s.tree_joined,
-         s.renumber_done, s.ids_done)
+         s.renumber_done, s.local_id is not None)
         for p, s in sorted(states.items())
     ])
 
@@ -424,7 +432,7 @@ def _audited_step(name, kind, w, step, counts):
         # they are, the step changes nothing and sends nothing
         again = step(p, out[0], [], states)
         assert again[0] is out[0] and not again[1], (name, p)
-        woken = set(out[3])
+        woken = set(out[2])
         if out[0] is state:
             assert not woken, (name, p, woken)
             return out
@@ -560,11 +568,11 @@ def _reference_run(config, pipeline, schedule, k):
                 inbox, inboxes[at] = inboxes[at], []
                 state = states[at]
                 assert not (name == "tree" and inbox and state.tree_joined), p
-                new, outbox, accepted, _ = proto.step(at, state, inbox, states)
+                new, outbox, _ = proto.step(at, state, inbox, states)
                 states[at] = new
                 changed = new != state
                 changed_any |= changed
-                messages += accepted
+                messages += changed and bool(inbox)
                 for port, payload in outbox:
                     canon = (port + new.frame_offset) % d
                     q = key[p[0] + dirs[canon][0], p[1] + dirs[canon][1]]
@@ -617,6 +625,10 @@ def test_run_equals_a_reference_engine_that_steps_every_activation(
         assert res.trace.to_text() == text
         assert res.reports == reports
         assert res.states == states
+    # describe, the ids outbox and tree_height read child ports in order
+    for s in states.values():
+        ports = s.child_ports
+        assert type(ports) is tuple and all(a < b for a, b in zip(ports, ports[1:]))
 
 
 @pytest.mark.parametrize("policy", [POLICY_RANDOM, POLICY_EXPLICIT])

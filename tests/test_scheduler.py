@@ -69,7 +69,8 @@ def test_explicit_orders_must_cover_every_particle():
     )
     # cells that are not (i, j) tuples: unhashable lists, and an int that
     # would not sort with the tuples
-    for order, cell in (([[0, 0], [0, 1]], "[0, 0]"), (((0, 0), (0, 1), 5, (9, 9)), "5")):
+    malformed = (([[0, 0], [0, 1]], "[0, 0]"), (((0, 0), (0, 1), 5, (9, 9)), "5"))
+    for order, cell in malformed:
         with pytest.raises(SimulationError) as err:
             run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(order,)))
         assert str(err.value) == (
@@ -188,6 +189,7 @@ def _golden_schedules(cells):
 
 
 def _states_text(states):
+    # the last column says whether ids are done, as GOLDEN's digests pin
     return repr([
         (p, s.status, s.parent_port, sorted(s.child_ports), s.coord_i, s.coord_j,
          s.local_id, s.frame_offset, s.tree_joined,

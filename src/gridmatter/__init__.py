@@ -33,7 +33,6 @@ from .coloring import (
     color_count,
     color_table_text,
     pattern,
-    tracking_modulus,
     verify_coloring,
 )
 from .scheduler import (

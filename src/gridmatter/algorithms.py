@@ -11,8 +11,8 @@ keys of the particles its change wakes.  Port numbers held in particle
 state (parent_port, and child_ports, a tuple in increasing order) are
 always in the particle's own frame; the engine translates to the
 receiver's frame on delivery.  A payload is None (tree), the sender's
-port label (renumber) or its tracked residue pair (ids).  Each protocol
-builds its per-grid tables once, at construction.
+port label (renumber) or its color (ids).  Each protocol builds its
+per-grid tables once, at construction.
 
 A step must return the identical state object when nothing changed;
 quiescence detection relies on it.  A step reads nothing but p, its own
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .coloring import color_at, pattern, receive_update, tracking_modulus
+from .coloring import color_steps
 from .grid import (
     Coord,
     GridKind,
@@ -79,8 +79,6 @@ class ParticleState:
     status: str = STATUS_CANDIDATE
     parent_port: Optional[int] = None
     child_ports: tuple = ()  # increasing
-    coord_i: Optional[int] = None
-    coord_j: Optional[int] = None
     local_id: Optional[int] = None
     frame_offset: int = 0
     tree_joined: bool = False
@@ -109,8 +107,8 @@ def port_steps(kind: GridKind) -> tuple:
     """Per frame offset f, per local port a: (di, dj, r), the lattice step
     through a, and r, the canonical port by which the neighbour there
     reaches back (`opposite_port`).  The one direction table of
-    `port_keys` (so of the engine and the tree step), `tree_height` and
-    `verify_run`."""
+    `port_keys` (so of the engine and the tree step), the ids step,
+    `tree_height` and `verify_run`."""
     dirs = directions(kind)
     d = len(dirs)
     return tuple(
@@ -304,33 +302,30 @@ class RenumberProtocol:
 
 
 class IdsProtocol:
-    """Identifier assignment from tracked displacements.
+    """Identifier assignment by coloring the tree from the root.
 
-    Runs after frame agreement.  The payload is the sender's tracked
-    coordinate pair; the receiver subtracts the arrival direction,
-    working modulo the tracking modulus, and takes its identifier from
-    the coloring pattern.  The root tracks (0, 0).
+    Runs after frame agreement.  The payload is the sender's color, its
+    id; the receiver's cell is one step from the sender's along the
+    direction by which the sender reaches it, so `color_steps` gives its
+    color.  The root takes color 0, the color of its own cell (0, 0).
     """
 
     def __init__(self, config: ParticleConfig, k: int):
-        self.d = degree(config.kind)
-        self.pattern = pattern(config.kind, k)
-        self.receive = receive_update(config.kind, k)
+        self.steps = port_steps(config.kind)
+        self.colors = color_steps(config.kind, k)
 
     def step(self, p, state, inbox, states):
         if state.local_id is not None or not (inbox or state.status == STATUS_LEADER):
             return state, (), ()
         if inbox:
             via, got = inbox[0]
-            i, j = self.receive(got, (via + state.frame_offset) % self.d)
+            c = self.colors[got][self.steps[state.frame_offset][via][2]]
         else:  # the leader, which no mail reaches
-            i, j = 0, 0
-        new = _evolve(state, coord_i=i, coord_j=j, local_id=color_at(self.pattern, i, j))
-        payload = (i, j)
-        return new, [(a, payload) for a in state.child_ports], ()
+            c = 0
+        return _evolve(state, local_id=c), [(a, c) for a in state.child_ports], ()
 
     def describe(self, old, new):
-        return f"coords=({new.coord_i},{new.coord_j}) id={new.local_id}"
+        return f"id={new.local_id}"
 
 
 def make_protocol(name: str, config: ParticleConfig, k: int = 1):
@@ -348,23 +343,21 @@ def make_protocol(name: str, config: ParticleConfig, k: int = 1):
 def update_id_after_move(
     kind: GridKind, k: int, state: ParticleState, port: int
 ) -> ParticleState:
-    """Refresh tracked coordinates and id after moving through a local port.
+    """Refresh the id after moving through a local port.
 
-    Moving through the port adds its direction to the particle's
-    displacement from the root; the frame offset is unaffected because a
-    move translates the particle without turning it.
+    The move is one step along the port's canonical direction, so the
+    new id is the color one step on from the old one; the frame offset
+    is unaffected because a move translates the particle without turning
+    it.
     """
-    if state.coord_i is None or state.coord_j is None:
-        raise ValueError("particle has no tracked coordinates")
+    if state.local_id is None:
+        raise ValueError("particle has no id")
     d = degree(kind)
     if not 0 <= port < d:
         raise ValueError(f"port {port} out of range for {GridKind(kind).value} grid")
-    canon = (port + state.frame_offset) % d
-    di, dj = directions(kind)[canon]
-    m = tracking_modulus(kind, k)
-    i = (state.coord_i + di) % m
-    j = (state.coord_j + dj) % m
-    return _evolve(state, coord_i=i, coord_j=j, local_id=color_at(pattern(kind, k), i, j))
+    return _evolve(
+        state, local_id=color_steps(kind, k)[state.local_id][(port + state.frame_offset) % d]
+    )
 
 
 # Inspection helpers over a finished run's states.

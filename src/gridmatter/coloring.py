@@ -21,9 +21,9 @@ A pattern is held as one period of its color table, which `color_at`,
 certified at construction time by `verify_coloring`, a brute-force scan
 of one period against every offset within distance k.
 
-Coordinates that feed a pattern never need to be exact: reducing them
-modulo the tracking modulus (m_k, m'_k, or k+1 per grid) preserves the
-color, since each modulus is a multiple of both pattern periods.
+Since each coset has one color, a cell's color fixes the color of each
+of its neighbours; `color_steps` tabulates that, so a particle can take
+its id from a neighbour's without knowing where it is.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ def color_count(kind: GridKind, k: int) -> int:
     if kind == GridKind.TRIANGULAR:
         return math.ceil(3 * (k + 1) ** 2 / 4)
     return (k + 1) ** 2
-
-
-def tracking_modulus(kind: GridKind, k: int) -> int:
-    """Modulus at which particles track their pattern coordinates."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if kind == GridKind.KING:
-        return k + 1
-    return color_count(kind, k)
 
 
 @dataclass(frozen=True)
@@ -96,24 +87,19 @@ def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def receive_update(kind: GridKind, k: int):
-    """The receiver's tracked coordinates from the sender's `coords` and
-    the port of receipt a, as `update(coords, a)`, with the grid's
-    `directions` table and tracking modulus looked up once.
+def color_steps(kind: GridKind, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per color c, per canonical direction a: the color of the cell one
+    step along a from any cell of color c.
 
-    The receiving port a points back at the sender, so the receiver sits
-    one step against that direction; both axes reduce modulo the
-    tracking modulus.
+    Well defined because the colors are the cosets of a lattice, and the
+    step is a translation; (c mod p, c div p) is a cell of color c.
     """
+    pat = pattern(kind, k)
     dirs = directions(kind)
-    m = tracking_modulus(kind, k)
-
-    def update(coords: Coord, a: int) -> Coord:
-        di, dj = dirs[a]
-        i, j = coords
-        return (i - di) % m, (j - dj) % m
-
-    return update
+    return tuple(
+        tuple(color_at(pat, c % pat.p + di, c // pat.p + dj) for di, dj in dirs)
+        for c in range(pat.color_count)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -184,10 +184,17 @@ def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[li
     for round_index, order in enumerate(schedule.orders or ()):
         try:
             listed = set(order)
-        except TypeError:  # an unhashable cell
+        except TypeError:  # an unhashable cell, or not cells at all
             listed = None
         if listed != members:
-            for cell in order:  # particles are (int, int) tuples
+            try:
+                cells = iter(order)
+            except TypeError:
+                raise SimulationError(
+                    f"explicit order for round {round_index} is {order!r}, "
+                    "not a sequence of cells"
+                ) from None
+            for cell in cells:  # particles are (int, int) tuples
                 if type(cell) is not tuple or list(map(type, cell)) != [int, int]:
                     raise SimulationError(
                         f"explicit order for round {round_index} names {cell!r}, "

@@ -4,7 +4,7 @@ of a stalled election."""
 from __future__ import annotations
 
 from . import algorithms
-from .coloring import color_count, tracking_modulus
+from .coloring import color_at, pattern
 from .grid import GridKind, distance
 from .particles import ParticleConfig, find_holes, make_config
 
@@ -28,7 +28,8 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
 
     # tree shape and reciprocity, from each particle's parent cell q and
     # the child port of q that faces it, if q lists one; `back` is the
-    # canonical port by which q reaches it
+    # canonical port by which q reaches it.  Then from the other end: each
+    # child port that leads to a particle leads to one whose parent is p
     steps = algorithms.port_steps(kind)
     d = len(steps)
     opposite = [r for _, _, r in steps[0]]  # opposite_port, in frame 0
@@ -55,6 +56,13 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
             violations.append(f"tree-parent-off-system: {p}")
         elif a is None:
             violations.append(f"tree-reciprocity: {p}<->{q}")
+    for p, s in states.items():
+        hop = steps[s.frame_offset]
+        for a in s.child_ports:
+            di, dj, _ = hop[a]
+            q = (p[0] + di, p[1] + dj)
+            if q in states and parent.get(q, (None,))[0] != p:
+                violations.append(f"tree-child: {p}->{q}")
 
     # frame agreement: equal offsets, and labels across every tree edge
     # are half-turn images of each other
@@ -66,19 +74,19 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
         if q in states and a != opposite[states[p].parent_port]:
             violations.append(f"port-reciprocity: {p}<->{q}")
 
-    # identifier soundness
-    m = tracking_modulus(kind, k)
-    limit = color_count(kind, k)
+    # identifier soundness: each id is the pattern color of the cell's
+    # displacement from the leader
+    pat = pattern(kind, k)
     ids = {}
     for p, s in states.items():
-        if s.local_id is None or s.coord_i is None:
+        if s.local_id is None:
             violations.append(f"unassigned: {p}")
             continue
         ids[p] = s.local_id
-        if not 0 <= s.local_id < limit:
+        if not 0 <= s.local_id < pat.color_count:
             violations.append(f"id-range: {p}")
-        if s.coord_i != (p[0] - leader[0]) % m or s.coord_j != (p[1] - leader[1]) % m:
-            violations.append(f"coords: {p}")
+        if s.local_id != color_at(pat, p[0] - leader[0], p[1] - leader[1]):
+            violations.append(f"id-position: {p}")
     # a pair within distance k is within k on each axis, and q > p holds
     # exactly for the offsets after (0, 0), so each pair is found once,
     # from its least member p

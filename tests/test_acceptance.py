@@ -38,7 +38,6 @@ from gridmatter.coloring import (
     color_count,
     color_table_text,
     pattern,
-    tracking_modulus,
     verify_coloring,
 )
 from gridmatter.grid import GridKind, degree
@@ -181,6 +180,9 @@ def _audit_run(kind, cfg, cells, res, stats):
     height = tree_height(kind, states)
     for name in ("tree", "renumber", "ids"):
         if reports[name].messages != n - 1:
+            stats["msg_bad"] += 1
+    for name in ("renumber", "ids"):  # each particle sends once per child
+        if reports[name].sends != n - 1:
             stats["msg_bad"] += 1
     for name in ("renumber", "ids"):
         if reports[name].rounds_active > height:
@@ -439,7 +441,7 @@ def test_criterion_6_message_laws(batch):
         for kind in KINDS:
             s = batch[kind]
             assert s["elected"] > 0, f"{kind.value}: no completed runs to audit"
-            assert s["msg_bad"] == 0, f"{kind.value}: phase messages != n-1"
+            assert s["msg_bad"] == 0, f"{kind.value}: phase messages or sends != n-1"
             assert s["phase_round_bad"] == 0, (
                 f"{kind.value}: renumber/ids exceeded tree-height rounds"
             )
@@ -505,21 +507,16 @@ def test_criterion_8_identifier_soundness():
             d = degree(kind)
             for _ in range(1000):
                 k = rng.randint(1, 6)
-                m = tracking_modulus(kind, k)
                 pat = pattern(kind, k)
                 offset = rng.randrange(d)
-                state = replace(
-                    start_states(kind)[offset],
-                    coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0),
-                )
+                state = replace(start_states(kind)[offset], local_id=color_at(pat, 0, 0))
                 pos = (0, 0)
                 for _ in range(rng.randrange(1, 21)):
                     port = rng.randrange(d)
                     state = update_id_after_move(kind, k, state, port)
                     di, dj = oracles.DIRS[kind.value][(port + offset) % d]
                     pos = (pos[0] + di, pos[1] + dj)
-                assert (state.coord_i, state.coord_j) == (pos[0] % m, pos[1] % m)
-                assert state.local_id == color_at(pat, pos[0] % m, pos[1] % m)
+                assert state.local_id == color_at(pat, *pos)
         ok = True
     finally:
         _verdict(8, ok)

@@ -20,7 +20,7 @@ from gridmatter.algorithms import (
     tree_parent,
     update_id_after_move,
 )
-from gridmatter.coloring import color_at, color_count, pattern, tracking_modulus
+from gridmatter.coloring import color_at, color_count, pattern
 from gridmatter.grid import GridKind, degree, neighbors, opposite_port
 from gridmatter.particles import contractibility_table, find_holes, make_config, slot_cells
 from gridmatter.scheduler import (
@@ -385,13 +385,10 @@ def test_ids_equal_displacement_mod_tracking(kind):
     cfg, res = _full_run(kind, cells, k=k, seed=8, policy=POLICY_ROUND_ROBIN)
     states = res.states
     root = leader_of(states)
-    m = tracking_modulus(kind, k)
     pat = pattern(kind, k)
     for p in cfg.particles():
         s = states[p]
-        want = ((p[0] - root[0]) % m, (p[1] - root[1]) % m)
-        assert (s.coord_i, s.coord_j) == want
-        assert s.local_id == color_at(pat, *want)
+        assert s.local_id == color_at(pat, p[0] - root[0], p[1] - root[1])
         assert 0 <= s.local_id < color_count(kind, k)
         assert s.local_id is not None
 
@@ -408,21 +405,19 @@ def test_id_histogram_counts():
 def test_update_id_after_move_tracks_absolute_position(kind):
     rng = random.Random(kind.value)
     k = rng.choice([1, 2, 3])
-    m = tracking_modulus(kind, k)
     pat = pattern(kind, k)
     d = degree(kind)
     for trial in range(60):
         offset = rng.randrange(d)
         state = start_states(kind)[offset]
-        state = replace(state, coord_i=0, coord_j=0, local_id=color_at(pat, 0, 0))
+        state = replace(state, local_id=color_at(pat, 0, 0))
         pos = (0, 0)
         for _ in range(rng.randrange(1, 20)):
             port = rng.randrange(d)
             state = update_id_after_move(kind, k, state, port)
             di, dj = oracles.DIRS[kind.value][(port + offset) % d]
             pos = (pos[0] + di, pos[1] + dj)
-        assert (state.coord_i, state.coord_j) == (pos[0] % m, pos[1] % m)
-        assert state.local_id == color_at(pat, pos[0] % m, pos[1] % m)
+        assert state.local_id == color_at(pat, *pos)
 
 
 def test_update_id_requires_assigned_coordinates():
@@ -436,7 +431,7 @@ def test_update_id_rejects_ports_out_of_range(kind):
     # at offset 1 the port plus the offset, reduced mod d, is always a
     # port; the move must still reject a port the particle does not have
     d = degree(kind)
-    state = replace(start_states(kind)[1], coord_i=0, coord_j=0, local_id=0)
+    state = replace(start_states(kind)[1], local_id=0)
     for port in (9, -1, d):
         with pytest.raises(ValueError):
             update_id_after_move(kind, 1, state, port)

@@ -421,10 +421,13 @@ def _plant(states, p, **changes):
 
 def test_verify_run_reports_an_off_system_parent():
     # the line's leader is (2, 0); (0, 0) now points its parent port
-    # out of the system, at (-1, 0)
+    # out of the system, at (-1, 0), while (1, 0) still lists it a child
     cfg, states = _finished_states(GridKind.SQUARE, {(0, 0), (1, 0), (2, 0)})
     _plant(states, (0, 0), parent_port=(0 - states[(0, 0)].frame_offset) % 4)
-    assert climod.verify_run(cfg, 1, states) == ["tree-parent-off-system: (0, 0)"]
+    assert climod.verify_run(cfg, 1, states) == [
+        "tree-parent-off-system: (0, 0)",
+        "tree-child: (1, 0)->(0, 0)",
+    ]
 
 
 def test_verify_run_reports_planted_violations():
@@ -455,6 +458,11 @@ def test_verify_run_reports_planted_violations():
     ]
 
     states = dict(clean)
+    # the leaf's parent port listed as a child port too
+    _plant(states, (0, 0), child_ports=(s.parent_port,))
+    assert climod.verify_run(cfg, 1, states) == ["tree-child: (0, 0)->(0, 1)"]
+
+    states = dict(clean)
     # the same cells behind every port, labelled one port further on
     _plant(
         states,
@@ -470,6 +478,7 @@ def test_verify_run_reports_planted_violations():
     states = dict(clean)
     _plant(states, (1, 1), local_id=1)
     assert climod.verify_run(cfg, 1, states) == [
+        "id-position: (1, 1)",
         "id-collision: (0, 1) (1, 1)",
         "id-collision: (1, 0) (1, 1)",
         "id-collision: (1, 1) (1, 2)",

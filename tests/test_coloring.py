@@ -2,8 +2,6 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gridmatter import coloring
 from gridmatter.coloring import (
@@ -13,11 +11,9 @@ from gridmatter.coloring import (
     color_count,
     color_table_text,
     pattern,
-    receive_update,
-    tracking_modulus,
     verify_coloring,
 )
-from gridmatter.grid import GridKind, degree, opposite_port
+from gridmatter.grid import GridKind
 
 import oracles
 
@@ -41,19 +37,6 @@ def test_color_count_formulas():
     assert [color_count(GridKind.KING, k) for k in (1, 2, 3)] == [4, 9, 16]
     with pytest.raises(ValueError):
         color_count(GridKind.SQUARE, 0)
-
-
-def test_tracking_modulus_values():
-    assert tracking_modulus(GridKind.SQUARE, 3) == 8
-    assert tracking_modulus(GridKind.TRIANGULAR, 2) == 7
-    # king tracking wraps at the block width, not the color count
-    assert tracking_modulus(GridKind.KING, 3) == 4
-    for kind in KINDS:
-        for k in RANGES[kind]:
-            m = tracking_modulus(kind, k)
-            p = pattern(kind, k)
-            assert m % p.period_i == 0
-            assert m % p.period_j == 0
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -184,46 +167,18 @@ def test_min_colors_bruteforce_values():
         oracles.min_colors_bruteforce(GridKind.SQUARE, 3, (2, 2))
 
 
-def test_coord_update_receive_examples():
-    # receiving through port a means the sender sits in direction a from
-    # the receiver... the receiver is one step against it
-    assert receive_update(GridKind.SQUARE, 3)((0, 0), 2) == (7, 0)
-    assert receive_update(GridKind.SQUARE, 3)((0, 0), 0) == (1, 0)
-    assert receive_update(GridKind.TRIANGULAR, 1)((2, 1), 5) == (0, 0)
-
-
-@settings(max_examples=120)
-@given(
-    kind=st.sampled_from(KINDS),
-    k=st.integers(1, 6),
-    i=st.integers(0, 80),
-    j=st.integers(0, 80),
-    a=st.integers(0, 7),
-)
-def test_coord_update_round_trips(kind, k, i, j, a):
-    a %= degree(kind)
-    m = tracking_modulus(kind, k)
-    start = (i % m, j % m)
-    update = receive_update(kind, k)
-    there = update(start, a)
-    back = update(there, opposite_port(kind, a))
-    assert back == start
-    di, dj = oracles.DIRS[kind.value][a]
-    assert there == ((start[0] - di) % m, (start[1] - dj) % m)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    k=st.integers(1, 6),
-    i=st.integers(-40, 40),
-    j=st.integers(-40, 40),
-)
-def test_pattern_period_matches_tracking_modulus(kind, k, i, j):
-    p = pattern(kind, k)
-    m = tracking_modulus(kind, k)
-    assert color_at(p, i, j) == color_at(p, i + m, j) == color_at(p, i, j + m)
-    assert color_at(p, i, j) == color_at(p, i % m, j % m)
+def test_color_steps_match_color_at():
+    # every cell of one period, every direction, every supported (grid, k)
+    for kind in KINDS:
+        dirs = oracles.DIRS[kind.value]
+        for k in RANGES[kind]:
+            pat = pattern(kind, k)
+            steps = coloring.color_steps(kind, k)
+            assert len(steps) == pat.color_count
+            for i in range(pat.period_i):
+                for j in range(pat.period_j):
+                    row = steps[color_at(pat, i, j)]
+                    assert row == tuple(color_at(pat, i + di, j + dj) for di, dj in dirs)
 
 
 # The pattern chosen for every supported (grid, k), frozen by its lattice

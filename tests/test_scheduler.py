@@ -76,6 +76,10 @@ def test_explicit_orders_must_cover_every_particle():
         assert str(err.value) == (
             f"explicit order for round 0 names {cell}, not an (i, j) cell"
         )
+    # an order that is no sequence at all
+    with pytest.raises(SimulationError) as err:
+        run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(5,)))
+    assert str(err.value) == "explicit order for round 0 is 5, not a sequence of cells"
 
 
 def test_every_explicit_order_is_checked_before_the_first_phase():
@@ -191,7 +195,7 @@ def _golden_schedules(cells):
 def _states_text(states):
     # the last column says whether ids are done, as GOLDEN's digests pin
     return repr([
-        (p, s.status, s.parent_port, sorted(s.child_ports), s.coord_i, s.coord_j,
+        (p, s.status, s.parent_port, sorted(s.child_ports),
          s.local_id, s.frame_offset, s.tree_joined,
          s.renumber_done, s.local_id is not None)
         for p, s in sorted(states.items())
@@ -213,49 +217,49 @@ def _golden_runs(kind, shape):
 
 GOLDEN = {
     ("square", "rect5x4"): (
-        "a0cc2048ae4e25987a8a34e20380f69f4359ebad5f307508fce9460ca2f1a43d",
+        "7cca6022d975fca310abfb8e1ebee2b2f85ae44f266cb6f16b237aa9c8b52de5",
         "5bc0d4cc285a0b92fbab3dfe7654442b92695864534279d3e0a80010737d2276",
-        "e1a4c395b2918f5d9469b56cf749fca07ef0b712d2c63ff3a8cf128594fa5f7c",
+        "ef41506e3dabe34fae8a5c51be1d47e0c566abbcb8f0fd481ae0f5cd08992521",
     ),
     ("square", "blob30"): (
-        "2554eb7e0e6fb29210fb369aa4170e8baf59d87a63dbbd9de8c75f01f1c9a4ed",
+        "f5aa9c1b5ee163373459513a397a985934abc1df59f56431d5efcc668ca85303",
         "c345176c9996f32df43494b62c116354323c7b20e69b52c129dae2fa1f2f64f1",
-        "1509942515bd9fd9328ed0d6684008bd69ea7ab5d083675c3fbf42083161eb0e",
+        "347c4600afd4fc4aea6430984a65a627abdb39962ea47411312988c0a7d120f3",
     ),
     ("square", "blob60"): (
-        "b2c228c3aefe464a54d0ac6f3e57b267e4a3c5fca61f6d8704c9d30594fcd0d0",
+        "52896e88aa5075aa81801d5121b89772303adbd27c59534810a213d6df9471da",
         "ab646c56e9112fd06356b74a5f80bc303b08b403c3e72d91115bf2b5f1af749c",
-        "da636615b97d088a9263e5a67443a4f67e22af593be73463502acee948f74714",
+        "1504918b8d17dcf20a71533077bc20bbf29e8ebe32812f993988430373e71dae",
     ),
     ("triangular", "rect5x4"): (
-        "88f0fbb3aa927d524a6b7643b554500b587a6f2cd2fc52bb59fbb6b3136ac201",
+        "1e3ebdaa1bc66504bb979be645e25976c3e384c5f15780608d6c6b00bdb18c6f",
         "5fb3df75579302ae7ce9132ea20e7900cc189f266a62eb452b2c9497eb767636",
-        "878c34b8b27b722ad01f510eddb521f3125a117a8ab7ca0691ac27f5d0c172d3",
+        "af2b97d7067ed7475b06ab8571dde341ef7312f17a77464c5a7d9bbd44e93a52",
     ),
     ("triangular", "blob30"): (
-        "bcd5b066ce99a24669c190619fea0ea716e86ca1355da0220653839ccea8e2d3",
+        "ae8e294f7641027eb4a44e9085cf8f7fd306bc1a045487764c9594099938acfa",
         "30898bf56500156d70a04a984342d02ed7e5e6e66ee9872ed51f4fbf555a91bb",
-        "dfda665af88c5e5aef048592660f365d752436a2b90b9d0fef1450b4fac20693",
+        "90ae0bdb7acd7da8845d822176b93a64a0550716f027cbaedde7fe11f7506d14",
     ),
     ("triangular", "blob60"): (
-        "e290cd26dc4727ea960ab1e78134be2842f34b6df7e3c404f75b08fdb740a113",
+        "17eff1ff752d212885e274cadcaf43c0e92d6da05806e61f8c0ce2a106c49905",
         "a7bcc3da21b4ef6392442770352e560913caac1d3769d7be458d7f5f7a82915a",
-        "ed5741800cda62d5a226577355f63ab7c66172facdfa2a0c9881c44c8c340b6b",
+        "09ba16bb2ff867c4115e1495019771ba3f2a7b111ce779af1eca33223b396a9f",
     ),
     ("king", "rect5x4"): (
-        "3f934b7b50e6d51e7da40d1fb56dd30a7cc1567af10b5ffaeff0e32e18dac058",
+        "e4557c3b272ecf2bb3f39c7f714a76116ceae9ded7458b65b3551e99c9706b81",
         "032127fe5777421ac1b264db9ea8068fa9440830310e9c34bb01054804a7da9f",
-        "8e7084eabca657e08736865e61e1dc2579fab6a9fd8c38a3214b54ac70ec1582",
+        "d2f40a7da02f116b7f9f8c8ef392098fc9170384781ca7e3424edc5fd8f3cbc7",
     ),
     ("king", "blob30"): (
-        "029c0f8ef2d0ee7137c2d61e7dd13308c666546574dbe1aaf62cd311b2ee382a",
+        "300a4f01c1c3463a943e1cb1a26de8288adc7a6bc74e96a3024a5799461384b9",
         "dc59d03c249fac5c6872c6c3fe8acd69e0554e33f3db8f5660b9a27a3e816f74",
-        "183fc5581c17ae6e51ff0af84b337c2406bf6d48a242258326295cb353d0b0fc",
+        "e8150b58e0e9144f4eebda410c3916dd286d9edc5e4f9ac4229ec6ff2b515c0d",
     ),
     ("king", "blob60"): (
-        "c537950ee95f116ff86e66ab8a5b7d02c452e47d73994944e32c099132b96039",
+        "1350ba9a23ae71b6ef36689d6da5d9631e2e6825f85a8322944412502add2b8c",
         "333adf4196dff1c82fde9b301c9a83c262ffbe98bb26787209198b3682a41dfd",
-        "87933c03d5385ad0345975b597afbfedb1081658b783e44d6cb2152db81c42b2",
+        "2fcf02db5be16f9f76999d77b8a1c096a2bc5ea0f761b57ab13a3897457fc623",
     ),
 }
 

@@ -173,9 +173,6 @@ class ElectProtocol:
             (bit, di * w + dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
         )
         self.port_bits = (1 << degree(config.kind)) - 1
-        # (id(state), status) -> (state, its successor); holding the
-        # state keeps its id from naming another while the table lives
-        self.successors: dict[tuple[int, str], tuple] = {}
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
@@ -190,11 +187,8 @@ class ElectProtocol:
             return state, (), ()
         # a candidate neighbor through a port (not a corner) means others remain
         status = STATUS_NON_CANDIDATE if mask & self.port_bits else STATUS_LEADER
-        key = (id(state), status)
-        if key not in self.successors:
-            self.successors[key] = (state, _evolve(state, status=status))
         woken = [p + o for bit, o in self.slots if mask & bit]
-        return self.successors[key][1], (), woken
+        return _evolve(state, status=status), (), woken
 
     def describe(self, old, new):
         return f"{old.status}->{new.status}"

@@ -201,7 +201,9 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
     except SimulationError as exc:
         _input_error(exc)
     reports = {r.name: r for r in result.reports}
-    leader = algorithms.leader_of(result.states)
+    leaders = sorted(
+        p for p, s in result.states.items() if s.status == algorithms.STATUS_LEADER
+    )
 
     if svg_dir:
         # Each file shows the states as its phase left them.  Later phases
@@ -223,7 +225,7 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
         except OSError as exc:
             _input_error(exc)
 
-    if leader is None:
+    if not leaders:
         residual = [
             p
             for p, s in result.states.items()
@@ -240,7 +242,8 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
         sys.exit(EXIT_STALLED)
 
     violations = verify_run(config, k, result.states)
-    lines = [("leader", f"{leader[0]},{leader[1]}")]
+    # more than one leader fails verify_run as leaders=N
+    lines = [("leader", ";".join(f"{i},{j}" for i, j in leaders))]
     for name in algorithms.PIPELINE_FULL:
         lines.append((f"rounds_{name}", reports[name].rounds_active))
     for name in algorithms.PIPELINE_FULL:

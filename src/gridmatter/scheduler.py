@@ -181,7 +181,13 @@ def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[li
         raise SimulationError(f"unknown schedule policy {schedule.policy!r}")
     members = set(particles)
     keyed = []
-    for round_index, order in enumerate(schedule.orders or ()):
+    try:
+        rounds = enumerate(schedule.orders or ())
+    except TypeError:
+        raise SimulationError(
+            f"explicit orders are {schedule.orders!r}, not a sequence of orders"
+        ) from None
+    for round_index, order in rounds:
         try:
             listed = set(order)
         except TypeError:  # an unhashable cell, or not cells at all

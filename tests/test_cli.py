@@ -10,6 +10,7 @@ test runner, which keeps its hundreds of examples fast.
 """
 
 import ast
+import dataclasses
 import hashlib
 import os
 import random
@@ -25,6 +26,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmatter import algorithms
 from gridmatter import cli as climod
 from gridmatter import shapes
 from gridmatter.algorithms import (
@@ -408,6 +410,21 @@ def test_run_invariant_failure_exits_2(rect_cfg, monkeypatch):
     assert "invariants=fail:forced" in result.output
 
 
+def test_run_with_two_leaders_exits_2(rect_cfg, monkeypatch):
+    # a second leader planted in the finished states is an invariant
+    # failure, reported with both cells, not a traceback
+    def two_leaders(*args, **kwargs):
+        res = run(*args, **kwargs)
+        _plant(res.states, (0, 0), status=STATUS_LEADER)
+        return res
+
+    monkeypatch.setattr(climod, "run_pipeline", two_leaders)
+    result = CliRunner().invoke(climod.cli, ["run", str(rect_cfg)])
+    assert result.exit_code == 2, result.exception
+    assert result.output.startswith("leader=0,0;2,2\n")
+    assert "\ninvariants=fail:leaders=2\n" in result.output
+
+
 def _finished_states(kind, cells, k=1):
     cfg = make_config(kind, cells, random_offsets(kind, cells, random.Random(2)))
     res = run(cfg, PIPELINE_FULL, Schedule(), k=k, record=False)
@@ -484,6 +501,93 @@ def test_verify_run_reports_planted_violations():
         "id-collision: (1, 1) (1, 2)",
         "id-collision: (1, 1) (2, 1)",
     ]
+
+
+# Single faults for `verify_run` to find, each planted by monkeypatch as
+# (owner, attribute, make), where `make` turns the original attribute
+# into the faulty one.
+
+
+def _never_prunes(step):
+    def faulty(self, p, s, inbox, states):
+        return (s, (), ()) if s.tree_joined else step(self, p, s, inbox, states)
+    return faulty
+
+
+def _parent_port_as_child(step):
+    def faulty(self, p, s, inbox, states):
+        new, sends, woken = step(self, p, s, inbox, states)
+        if inbox and not s.tree_joined:
+            kids = tuple(sorted((*new.child_ports, new.parent_port)))
+            new = dataclasses.replace(new, child_ports=kids)
+        return new, sends, woken
+    return faulty
+
+
+def _child_ports_unrotated(step):
+    def faulty(self, p, s, inbox, states):
+        new, sends, woken = step(self, p, s, inbox, states)
+        if new is not s:
+            new = dataclasses.replace(new, child_ports=s.child_ports)
+        return new, sends, woken
+    return faulty
+
+
+def _next_direction_colors(color_steps):
+    return lambda kind, k: tuple(row[1:] + row[:1] for row in color_steps(kind, k))
+
+
+def _last_mail_first(step):
+    return lambda self, p, s, inbox, states: step(self, p, s, inbox[::-1], states)
+
+
+PLANTED_FAULTS = [
+    (algorithms.TreeProtocol, "step", _never_prunes),
+    (algorithms.TreeProtocol, "step", _parent_port_as_child),
+    (algorithms.RenumberProtocol, "step", _child_ports_unrotated),
+    (algorithms, "color_steps", _next_direction_colors),
+]
+EQUIVALENT_FAULTS = [
+    # a join under its last sender: every sender has joined and the
+    # others are woken to prune, so the tree is as valid as the first's
+    (algorithms.TreeProtocol, "step", _last_mail_first),
+    # an id from the last mail: the parent's is the only mail that comes
+    (algorithms.IdsProtocol, "step", _last_mail_first),
+]
+
+
+def test_verify_run_flags_planted_faults(monkeypatch):
+    rng = random.Random(27)
+    configs = []
+    for kind in GridKind:
+        for n in (3, 6, 10, 16, 25, 40):
+            cells = gen_blob(kind, n, rng)
+            configs.append(make_config(kind, cells, random_offsets(kind, cells, rng)))
+
+    def finish(cfg):
+        return run(cfg, PIPELINE_FULL, Schedule(), k=2, record=False).states
+
+    clean = [finish(cfg) for cfg in configs]
+    assert all(climod.verify_run(c, 2, s) == [] for c, s in zip(configs, clean))
+    for owner, attr, make in PLANTED_FAULTS + EQUIVALENT_FAULTS:
+        equivalent = (owner, attr, make) in EQUIVALENT_FAULTS
+        changed = 0
+        with monkeypatch.context() as m:
+            m.setattr(owner, attr, make(getattr(owner, attr)))
+            for cfg, want in zip(configs, clean):
+                try:
+                    states = finish(cfg)
+                except KeyError:  # a send toward an empty cell stops the engine
+                    assert not equivalent, (make.__name__, cfg.kind, cfg.n)
+                    continue
+                violations = climod.verify_run(cfg, 2, states)
+                changed += states != want
+                if equivalent or states == want:
+                    assert violations == [], (make.__name__, cfg.kind, cfg.n)
+                else:
+                    assert violations, (make.__name__, cfg.kind, cfg.n)
+        # each fault changes the final states of some run that finishes
+        assert changed or equivalent, make.__name__
 
 
 def test_run_svg_emission(rect_cfg, tmp_path):
@@ -796,21 +900,32 @@ def test_only_the_cli_imports_click():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_every_exported_name_is_used_outside_the_tests():
-    # a name that `gridmatter` exports must appear as a word in another
-    # library module, in bench/ or in README, other than on its own
-    # def/class line: a name only the tests use does not belong in src/
+def test_every_public_module_name_is_used_outside_the_tests():
+    # each public top-level name of a library module must appear as a word
+    # in src/, bench/ or README, other than on the line that defines it: a
+    # name only the tests use does not belong in src/.  The package binds
+    # no name, so each has one import path, its module's
     pkg = ROOT / "src" / "gridmatter"
-    tree = ast.parse((pkg / "__init__.py").read_text())
-    names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom)
-             for a in node.names]
-    files = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
-    files += [*(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
+    init = ast.parse((pkg / "__init__.py").read_text())
+    assert [type(node) for node in init.body] == [ast.Expr]  # the docstring
+    registered = {"run_cmd", "color_table"}  # click commands, by decorator
+    names = []
+    for f in pkg.glob("*.py"):
+        for node in ast.parse(f.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+    assert registered <= set(names)
+    names = [n for n in names if not n.startswith("_") and n not in registered]
+    files = [*pkg.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
     lines = [line for f in files for line in f.read_text().splitlines()]
     unused = [
         name for name in names
         if not any(re.search(rf"\b{name}\b", line)
-                   and not re.match(rf"(def|class) {name}\b", line)
+                   and not re.match(rf"\s*(def|class) {name}\b|{name}\s*[:=]", line)
                    for line in lines)
     ]
     assert names and unused == []

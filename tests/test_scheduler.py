@@ -80,6 +80,10 @@ def test_explicit_orders_must_cover_every_particle():
     with pytest.raises(SimulationError) as err:
         run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(5,)))
     assert str(err.value) == "explicit order for round 0 is 5, not a sequence of cells"
+    # orders that are no sequence of orders at all
+    with pytest.raises(SimulationError) as err:
+        run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=5))
+    assert str(err.value) == "explicit orders are 5, not a sequence of orders"
 
 
 def test_every_explicit_order_is_checked_before_the_first_phase():

@@ -357,10 +357,15 @@ def update_id_after_move(
 # Inspection helpers over a finished run's states.
 
 
+def leader_cells(states: dict) -> list:
+    """Every leader's cell, sorted."""
+    return sorted(p for p, s in states.items() if s.status == STATUS_LEADER)
+
+
 def leader_of(states: dict) -> Optional[Coord]:
-    found = [p for p, s in states.items() if s.status == STATUS_LEADER]
+    found = leader_cells(states)
     if len(found) > 1:
-        raise ValueError(f"multiple leaders {sorted(found)}")
+        raise ValueError(f"multiple leaders {found}")
     return found[0] if found else None
 
 

@@ -201,9 +201,7 @@ def run_cmd(config_path, k, schedule, seed, svg_dir, max_activations):
     except SimulationError as exc:
         _input_error(exc)
     reports = {r.name: r for r in result.reports}
-    leaders = sorted(
-        p for p, s in result.states.items() if s.status == algorithms.STATUS_LEADER
-    )
+    leaders = algorithms.leader_cells(result.states)
 
     if svg_dir:
         # Each file shows the states as its phase left them.  Later phases

@@ -13,7 +13,7 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
     """Post-pipeline invariants; returns violation strings."""
     violations = []
     kind = config.kind
-    leaders = [p for p, s in states.items() if s.status == algorithms.STATUS_LEADER]
+    leaders = algorithms.leader_cells(states)
     if len(leaders) != 1:
         violations.append(f"leaders={len(leaders)}")
         return violations

@@ -889,11 +889,14 @@ def test_importing_the_cli_loads_no_numpy():
 
 
 def test_only_the_cli_imports_click():
-    # a None entry in sys.modules makes `import click` raise ImportError
-    code = (
-        "import sys; sys.modules['click'] = None; "
-        "import gridmatter, gridmatter.shapes, gridmatter.verify"
+    # a None entry in sys.modules makes `import click` raise ImportError;
+    # the package imports no submodule, so each is imported by name
+    modules = sorted(
+        f"gridmatter.{f.stem}"
+        for f in (ROOT / "src" / "gridmatter").glob("*.py")
+        if f.stem not in ("__init__", "cli")
     )
+    code = "import sys; sys.modules['click'] = None; import " + ", ".join(modules)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -909,25 +912,32 @@ def test_every_public_module_name_is_used_outside_the_tests():
     init = ast.parse((pkg / "__init__.py").read_text())
     assert [type(node) for node in init.body] == [ast.Expr]  # the docstring
     registered = {"run_cmd", "color_table"}  # click commands, by decorator
-    names = []
+    defs = set()  # (name, file, line number) of each top-level definition
     for f in pkg.glob("*.py"):
         for node in ast.parse(f.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.append(node.name)
+                targets = [node.name]
             elif isinstance(node, ast.Assign):
-                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names.append(node.target.id)
-    assert registered <= set(names)
-    names = [n for n in names if not n.startswith("_") and n not in registered]
+                targets = [node.target.id]
+            else:
+                continue
+            defs |= {(name, f, node.lineno) for name in targets}
+    names = {name for name, _, _ in defs}
+    assert registered <= names
+    names = {n for n in names if not n.startswith("_")} - registered
     files = [*pkg.glob("*.py"), *(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
-    lines = [line for f in files for line in f.read_text().splitlines()]
-    unused = [
-        name for name in names
-        if not any(re.search(rf"\b{name}\b", line)
-                   and not re.match(rf"\s*(def|class) {name}\b|{name}\s*[:=]", line)
-                   for line in lines)
+    lines = [
+        (f, number, line)
+        for f in files
+        for number, line in enumerate(f.read_text().splitlines(), 1)
     ]
+    unused = sorted(
+        name for name in names
+        if not any(re.search(rf"\b{name}\b", line) and (name, f, number) not in defs
+                   for f, number, line in lines)
+    )
     assert names and unused == []
 
 

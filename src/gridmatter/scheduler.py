@@ -25,15 +25,16 @@ mail.
 
 Inside a run every cell is the int key of `particles.key_width`; the
 states, the trace and every error leave the engine in (i, j)
-coordinates, converted once per run, and a shuffled order only when its
-round is recorded.  The policy and every explicit order are checked, and
-the orders keyed, once before the first phase.
+coordinates, converted once per run.  A recorded shuffled round keeps no
+order: the trace replays it from the seed.  The policy and every
+explicit order are checked, and the orders keyed, once before the first
+phase.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,12 +79,13 @@ class TraceEvent:
 @dataclass(frozen=True)
 class TraceRound:
     """One recorded round; its number is its position in `log`, from 1.
-    `changes` maps a position in `order` (an explicit order may repeat a
-    particle) to `(transition, messages)` for each activation that
-    changed state or sent; the rest were no-ops."""
+    `order` is None for a shuffled round, whose order `RunTrace.orders()`
+    replays.  `changes` maps a position in the order (an explicit order
+    may repeat a particle) to `(transition, messages)` for each
+    activation that changed state or sent; the rest were no-ops."""
 
     algorithm: str
-    order: Sequence[Coord]
+    order: Optional[Sequence[Coord]]
     changes: dict[int, tuple[str, int]]
 
 
@@ -91,24 +93,26 @@ _NO_CHANGE = ("-", 0)
 
 
 class TraceEvents:
-    """A read-only view of a log's activations, one `TraceEvent` each.
+    """A read-only view of a trace's activations, one `TraceEvent` each.
 
     Events are built only as they are read: `len()` allocates none and
     iteration holds one at a time.
     """
 
-    __slots__ = ("_log",)
+    __slots__ = ("_trace",)
 
-    def __init__(self, log: Sequence[TraceRound]):
-        self._log = log
+    def __init__(self, trace: RunTrace):
+        self._trace = trace
 
     def __len__(self) -> int:
-        return sum(len(r.order) for r in self._log)
+        n = len(self._trace.particles)
+        return sum(n if r.order is None else len(r.order) for r in self._trace.log)
 
     def __iter__(self):
-        for number, r in enumerate(self._log, 1):
+        trace = self._trace
+        for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1):
             get = r.changes.get
-            for pos, p in enumerate(r.order):
+            for pos, p in enumerate(order):
                 yield TraceEvent(number, p, r.algorithm, *get(pos, _NO_CHANGE))
 
 
@@ -116,26 +120,39 @@ class TraceEvents:
 class RunTrace:
     """A run's totals and, when recorded, its rounds; `events` and
     `to_text()` expand the rounds on each call, in memory proportional
-    to what they return."""
+    to what they return.  `particles` are the run's sorted particles and
+    `seed` its shuffle seed, None unless the schedule shuffles."""
 
     log: list[TraceRound] = field(default_factory=list)
     rounds: int = 0
     activations: int = 0
+    particles: Sequence[Coord] = ()
+    seed: Optional[int] = None
+
+    def orders(self) -> Iterator[Sequence[Coord]]:
+        """Each logged round's activation order, in log order.  A fixed
+        order is the one the round holds; a shuffled round is redrawn
+        here, one at a time, from the seed's rng in the engine's sequence
+        (a shuffle's permutation depends only on the length)."""
+        rng = random.Random(self.seed) if self.seed is not None else None
+        for r in self.log:
+            yield _shuffled(self.particles, rng) if r.order is None else r.order
 
     @property
     def events(self) -> TraceEvents:
-        return TraceEvents(self.log)
+        return TraceEvents(self)
 
     def to_text(self) -> str:
         # one string per round, so only one round's lines are live at once
         rounds = []
-        for number, r in enumerate(self.log, 1):
+        for number, (r, order) in enumerate(zip(self.log, self.orders()), 1):
             head, tail = f"{number}\t", f"\t{r.algorithm}\t"
-            get = r.changes.get
-            lines = []
-            for pos, (i, j) in enumerate(r.order):
-                transition, messages = get(pos, _NO_CHANGE)
-                lines.append(f"{head}{i},{j}{tail}{transition}\t{messages}\n")
+            # every line as a no-op's, then the few that changed or sent
+            quiet = f"{tail}-\t0\n"
+            lines = [f"{head}{i},{j}{quiet}" for i, j in order]
+            for pos, (transition, messages) in r.changes.items():
+                i, j = order[pos]
+                lines[pos] = f"{head}{i},{j}{tail}{transition}\t{messages}\n"
             rounds.append("".join(lines))
         return "".join(rounds)
 
@@ -156,19 +173,24 @@ class RunResult:
     reports: list[AlgorithmReport]
 
 
-def _shuffled(items: list, rng: random.Random) -> list:
+def _shuffled(items: Sequence, rng: random.Random) -> list:
     """`rng.shuffle` of a copy of `items`: the same getrandbits draws, so
     the same permutation and rng state, inlined to save the method call
-    per draw."""
+    per draw.  Position i draws j below i + 1 from (i + 1).bit_length()
+    bits, so the bit count is fixed over each block of positions
+    [2**(bits - 1) - 1, 2**bits - 2]."""
     order = list(items)
     getrandbits = rng.getrandbits
-    for i in range(len(order) - 1, 0, -1):
-        n = i + 1
-        bits = n.bit_length()
-        j = getrandbits(bits)
-        while j >= n:
+    top = len(order) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = (1 << (bits - 1)) - 1
+        for i in range(top, low - 1, -1):
             j = getrandbits(bits)
-        order[i], order[j] = order[j], order[i]
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = low - 1
     return order
 
 
@@ -237,13 +259,12 @@ def run(
     w = config.key_width
     keys = [i * w + j for i, j in particles]
     orders = _keyed_orders(schedule, particles, w)
-    coord_of = dict(zip(keys, particles)) if shuffles and record else None
     start = algorithms.start_states(config.kind)
     offset = config.frame_offsets.get
     states = {q: start[offset(p, 0)] for p, q in zip(particles, keys)}
     # mail as (receiver's local port of arrival, payload) pairs
     inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
-    trace = RunTrace()
+    trace = RunTrace(particles=particles, seed=schedule.seed if shuffles else None)
     reports: list[AlgorithmReport] = []
     steps = algorithms.port_keys(config.kind, w)
     d = len(steps)
@@ -259,10 +280,9 @@ def run(
         phase_sends = 0
         while True:
             if shuffles:
-                # a shuffle's permutation depends only on the length, so
-                # the keys come out in the coordinates' order
-                order = _shuffled(keys, rng)
-                shown = list(map(coord_of.__getitem__, order)) if record else order
+                # recorded as None: `RunTrace.orders()` shuffles the
+                # particles, which come in the keys' order, from the seed
+                order, shown = _shuffled(keys, rng), None
             elif phase_round < len(orders):
                 order, shown = orders[phase_round], schedule.orders[phase_round]
             else:
@@ -298,8 +318,18 @@ def run(
                     for local_port, payload in outbox:
                         o, back = hop[local_port]
                         target = p + o
+                        try:
+                            receiver = states[target]
+                        except KeyError:
+                            i, j = particles[keys.index(p)]
+                            ports = algorithms.port_steps(config.kind)
+                            di, dj, _ = ports[new_state.frame_offset][local_port]
+                            raise SimulationError(
+                                f"{name}: {(i, j)} sends through local port "
+                                f"{local_port} toward empty cell {(i + di, j + dj)}"
+                            ) from None
                         # the receiver's local label of the reverse edge
-                        via = (back - states[target].frame_offset) % d
+                        via = (back - receiver.frame_offset) % d
                         inboxes[target].append((via, payload))
                         awake.add(target)
                     round_sends += len(outbox)

@@ -64,10 +64,12 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
             if q in states and parent.get(q, (None,))[0] != p:
                 violations.append(f"tree-child: {p}->{q}")
 
-    # frame agreement: equal offsets, and labels across every tree edge
-    # are half-turn images of each other
+    # frame agreement: every particle took part, offsets are equal, and
+    # labels across every tree edge are half-turn images of each other
     want = states[leader].frame_offset
     for p, s in states.items():
+        if not s.renumber_done:
+            violations.append(f"renumber-missing: {p}")
         if s.frame_offset != want:
             violations.append(f"frame-offset: {p}")
     for p, (q, a) in parent.items():

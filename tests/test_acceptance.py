@@ -143,11 +143,15 @@ def _audit_run(kind, cfg, cells, res, stats):
     C = set(cells)
     lo = (min(c[0] for c in cells) - 1, min(c[1] for c in cells) - 1)
     hi = (max(c[0] for c in cells) + 1, max(c[1] for c in cells) + 1)
+    # elect runs first, so its rounds lead the log; the replay stops at
+    # the first round of another phase, before its order is drawn
+    orders = res.trace.orders()
     for r in res.trace.log:
         if r.algorithm != "elect":
-            continue
+            break
+        order = next(orders)
         for pos, (transition, _) in r.changes.items():
-            p = r.order[pos]
+            p = order[pos]
             if transition == "C->N":
                 if not legal(C, p):
                     stats["legal_bad"] += 1

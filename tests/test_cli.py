@@ -38,7 +38,7 @@ from gridmatter.algorithms import (
 )
 from gridmatter.grid import GridKind, degree, directions
 from gridmatter.particles import find_holes, make_config, removal_table, slot_cells
-from gridmatter.scheduler import Schedule, run
+from gridmatter.scheduler import Schedule, SimulationError, run
 from gridmatter.shapes import (
     ConfigDoc,
     gen_blob,
@@ -533,6 +533,13 @@ def _child_ports_unrotated(step):
     return faulty
 
 
+def _non_leaders_forward_nothing(step):
+    def faulty(self, p, s, inbox, states):
+        new, sends, woken = step(self, p, s, inbox, states)
+        return new, sends if s.status == STATUS_LEADER else (), woken
+    return faulty
+
+
 def _next_direction_colors(color_steps):
     return lambda kind, k: tuple(row[1:] + row[:1] for row in color_steps(kind, k))
 
@@ -545,6 +552,7 @@ PLANTED_FAULTS = [
     (algorithms.TreeProtocol, "step", _never_prunes),
     (algorithms.TreeProtocol, "step", _parent_port_as_child),
     (algorithms.RenumberProtocol, "step", _child_ports_unrotated),
+    (algorithms.RenumberProtocol, "step", _non_leaders_forward_nothing),
     (algorithms, "color_steps", _next_direction_colors),
 ]
 EQUIVALENT_FAULTS = [
@@ -577,7 +585,7 @@ def test_verify_run_flags_planted_faults(monkeypatch):
             for cfg, want in zip(configs, clean):
                 try:
                     states = finish(cfg)
-                except KeyError:  # a send toward an empty cell stops the engine
+                except SimulationError:  # a send toward an empty cell stops the engine
                     assert not equivalent, (make.__name__, cfg.kind, cfg.n)
                     continue
                 violations = climod.verify_run(cfg, 2, states)

@@ -115,6 +115,26 @@ def test_explicit_orders_fall_back_to_sorted_when_exhausted():
     assert r2 == sorted(TWO)
 
 
+def test_a_send_toward_an_empty_cell_raises(monkeypatch):
+    # (6, 3) leads; (5, 3) forwards its renumber mail through every port,
+    # in its new frame (offset 2), whose local port 0 faces (6, 3)
+    cfg = make_config("square", [(5, 2), (5, 3), (6, 3)], {(5, 2): 3, (5, 3): 1, (6, 3): 2})
+    step = algorithms.RenumberProtocol.step
+
+    def sends_everywhere(self, p, s, inbox, states):
+        new, outbox, woken = step(self, p, s, inbox, states)
+        if outbox and s.status != STATUS_LEADER:
+            outbox = [(a, a) for a in range(4)]
+        return new, outbox, woken
+
+    monkeypatch.setattr(algorithms.RenumberProtocol, "step", sends_everywhere)
+    with pytest.raises(SimulationError) as err:
+        run(cfg, PIPELINE_FULL, Schedule())
+    assert str(err.value) == (
+        "renumber: (5, 3) sends through local port 1 toward empty cell (5, 4)"
+    )
+
+
 def test_activation_cap_raises():
     cfg = make_config("square", TWO)
     with pytest.raises(SimulationError):
@@ -517,10 +537,12 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
     ), counts["no-op"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 1600])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 17, 1024, 1025, 1600])
 def test_random_order_is_random_shuffle_of_sorted_particles(n):
     # the engine inlines random.shuffle's draws; a Python release that
-    # changes random.shuffle or _randbelow breaks this test first
+    # changes random.shuffle or _randbelow breaks this test first.  The
+    # draws come in blocks of equal bit length, whose edges lie at powers
+    # of two
     particles = sorted((i % 40, i // 40) for i in range(n))
     before = list(particles)
     for seed in (0, 1, 7, 2**31 - 1):
@@ -667,8 +689,8 @@ def test_run_equals_the_reference_engine_on_a_200_particle_blob(kind, policy):
 def _events_list(trace):
     return [
         TraceEvent(number, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
-        for number, r in enumerate(trace.log, 1)
-        for pos, p in enumerate(r.order)
+        for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1)
+        for pos, p in enumerate(order)
     ]
 
 
@@ -681,12 +703,15 @@ def test_events_view_equals_the_log_expanded_as_a_list():
         assert list(events) == expected
 
 
-@pytest.fixture(scope="module")
-def square30_trace():
+def _square30():
     cells = gen_rect(30, 30)
     offsets = random_offsets(GridKind.SQUARE, cells, random.Random(1))
-    cfg = make_config("square", cells, offsets)
-    return run(cfg, PIPELINE_FULL, Schedule(POLICY_RANDOM, seed=1), k=2).trace
+    return make_config("square", cells, offsets)
+
+
+@pytest.fixture(scope="module")
+def square30_trace():
+    return run(_square30(), PIPELINE_FULL, Schedule(POLICY_RANDOM, seed=1), k=2).trace
 
 
 def _traced_peak(fn):
@@ -698,6 +723,32 @@ def _traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _traced_retained(fn):
+    """fn's result and the bytes it still holds once it returns, by
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recorded_random_run_holds_memory_per_change_not_per_activation():
+    # a shuffled round keeps no order, so recording holds the rounds and
+    # their changes, not the 30 x 30 run's activations
+    cfg, sched = _square30(), Schedule(POLICY_RANDOM, seed=1)
+    run(cfg, PIPELINE_FULL, sched, k=2, record=False)  # fills the cached tables
+    _, plain = _traced_retained(lambda: run(cfg, PIPELINE_FULL, sched, k=2, record=False))
+    res, recorded = _traced_retained(lambda: run(cfg, PIPELINE_FULL, sched, k=2))
+    log = res.trace.log
+    changes = sum(len(r.changes) for r in log)
+    assert res.trace.activations > 10 * changes > 0
+    assert recorded - plain < 200 * changes + 2048 * len(log), (
+        recorded - plain, changes, len(log)
+    )
 
 
 def test_to_text_peaks_under_three_times_its_output(square30_trace):

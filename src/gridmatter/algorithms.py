@@ -160,10 +160,9 @@ class ElectProtocol:
     A candidate whose candidate neighborhood would stay connected after
     its removal retires; it becomes the leader instead when it is the
     last candidate in sight.  On the king grid it must in addition be
-    (8,4)-simple (see `removal_table`), so the retirement opens no pocket
-    of the 4-adjacent background; without that, erosion builds diagonal
-    crowns that no port-local rule can take apart.  Reads neighbor
-    statuses only, sends nothing.
+    (8,4)-simple (see `removal_table`), so the retirement opens no hole;
+    without that, erosion builds diagonal crowns that no port-local rule
+    can take apart.  Reads neighbor statuses only, sends nothing.
     """
 
     def __init__(self, config: ParticleConfig):
@@ -172,7 +171,6 @@ class ElectProtocol:
         self.slots = tuple(
             (bit, di * w + dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
         )
-        self.port_bits = (1 << degree(config.kind)) - 1
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
@@ -185,8 +183,8 @@ class ElectProtocol:
                 mask |= bit
         if not self.table[mask]:
             return state, (), ()
-        # a candidate neighbor through a port (not a corner) means others remain
-        status = STATUS_NON_CANDIDATE if mask & self.port_bits else STATUS_LEADER
+        # the candidates stay connected: one in a corner slot means one behind a port
+        status = STATUS_NON_CANDIDATE if mask else STATUS_LEADER
         woken = [p + o for bit, o in self.slots if mask & bit]
         return _evolve(state, status=status), (), woken
 

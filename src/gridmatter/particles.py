@@ -12,8 +12,8 @@ hole-free, which is what the election algorithm leans on.  Its port-local
 form is one table: `contractibility_table` applies the definition-level
 test to every slot mask, which says which neighbor (and, on the square
 grid, corner) slots are in S.  On the king grid the election and the
-blob generator use the stricter `removal_table`, which also keeps the
-4-adjacent background free of pockets.
+blob generator use the stricter `removal_table`, which opens no hole
+either.  There a hole is a pocket of the 4-adjacent background.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
 
 @dataclass(frozen=True)
 class HoleReport:
-    """Finite unoccupied pockets of a configuration, by least cell."""
+    """Finite unoccupied pockets of a configuration, by least cell.  On
+    the king grid an 8-connected set bounds a 4-connected background
+    (Rosenfeld 1970): a hole is a pocket under the orthogonal steps."""
 
     holes: tuple[frozenset[Coord], ...]
 
@@ -150,9 +152,10 @@ def _flood(config: ParticleConfig, with_border: bool) -> tuple[HoleReport, set[C
     two, whose outer ring is a wall: cell (i, j) at key (i - i0) * w +
     j - j0, a step (di, dj) adds di * w + dj.  The walk from the box's
     least cell, on the free ring around the particles, marks the
-    exterior.  The cells left free are the holes, and `bytearray.find`
-    meets each first at its least cell, so they come out sorted by it.
-    The border, if asked for, is the particles with an exterior neighbour.
+    exterior, on the king grid by orthogonal steps alone.  The cells
+    left free are the holes, and `bytearray.find` meets each first at
+    its least cell, so they come out sorted by it.  The border, if asked
+    for, is the particles with an exterior neighbour.
     """
     occ = config.occupied
     is_ = [p[0] for p in occ]
@@ -167,6 +170,7 @@ def _flood(config: ParticleConfig, with_border: bool) -> tuple[HoleReport, set[C
     for k in keys:
         grid[k] = 1
     offsets = [di * w + dj for di, dj in directions(config.kind)]
+    steps = offsets[::2] if config.kind == GridKind.KING else offsets
 
     def fill(start: int, mark: int):
         """Mark the free component of `start`, yielding its cells; only
@@ -176,7 +180,7 @@ def _flood(config: ParticleConfig, with_border: bool) -> tuple[HoleReport, set[C
         while queue:
             u = queue.popleft()
             yield u
-            for o in offsets:
+            for o in steps:
                 v = u + o
                 if not grid[v]:
                     grid[v] = mark
@@ -206,7 +210,8 @@ def border(config: ParticleConfig) -> set[Coord]:
     """Particles with at least one unoccupied neighbor on the exterior.
 
     A particle whose only free neighbors lie inside holes does not
-    qualify; it is interior as far as the outside world can tell.
+    qualify; it is interior as far as the outside world can tell.  On
+    the king grid all eight neighbors count (`HoleReport`).
     """
     return _flood(config, with_border=True)[1]
 
@@ -288,11 +293,10 @@ def removal_table(kind: GridKind) -> tuple[bool, ...]:
     Indexed like `contractibility_table`.  On the square and triangular
     grids it is that table.  On the king grid, Definition 1 alone lets a
     particle go whose four orthogonal neighbors all stay, which encloses
-    a pocket of the 4-adjacent background; an 8-connected set has to be
-    read against a 4-connected background (Rosenfeld 1970).  So there a
-    particle must also be (8,4)-simple: its free slots 4-adjacent to it
-    lie in one 4-connected run of the ring.  The same table decides the
-    reverse move, adding a free cell to the set.
+    a hole, a pocket of the 4-adjacent background (`HoleReport`).  So
+    there a particle must also be (8,4)-simple: its free slots 4-adjacent
+    to it lie in one 4-connected run of the ring.  The same table decides
+    the reverse move, adding a free cell to the set.
     """
     table = contractibility_table(kind)
     if kind != GridKind.KING:

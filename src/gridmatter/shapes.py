@@ -2,7 +2,8 @@
 
 Config files are line-based: `grid <kind>`, `k <int>`, `seed <int>`,
 `particle <i> <j> <offset>`, with `#` starting a comment.  The grid
-line must precede particle lines so offsets can be range-checked.
+line must precede particle lines so offsets can be range-checked, and
+each of the grid, k and seed lines may appear once.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ def parse_config_text(text: str) -> ConfigDoc:
     k = 1
     seed = 0
     offsets = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -36,6 +38,10 @@ def parse_config_text(text: str) -> ConfigDoc:
         fields = line.split()
         word, args = fields[0], fields[1:]
         try:
+            if word in seen:
+                raise ValueError(f"duplicate {word} line")
+            if word != "particle":
+                seen.add(word)
             if word == "grid":
                 if len(args) != 1:
                     raise ValueError("expected one grid kind")
@@ -121,14 +127,12 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     triangular grids pockets are filled and removable cells are then
     peeled back to the requested size, one drawn at random from the
     sorted list of removable cells per step.  On the king grid a cell is
-    added only when it could leave again, so the set stays free of
-    pockets of the 4-adjacent background as it grows, which is what the
-    king election needs to elect.
+    added only when it could leave again, so the set stays hole-free as
+    it grows: a king hole is a pocket of the 4-adjacent background.
 
     A cell is removable when it can leave the set (or, when free, join
     it) without changing the set's topology: the set stays connected and
-    gains no hole, and on the king grid no pocket of the 4-adjacent
-    background either.  That is a lookup of the cell's slot mask, the
+    gains no hole.  That is a lookup of the cell's slot mask, the
     occupancy of its 3x3 window, in `removal_table`.  So removing a cell
     changes the removability only of the cells whose window holds it
     (Kong & Rosenfeld, "Digital topology", CVGIP 1989), and the peel

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from . import algorithms
 from .coloring import color_at, pattern
-from .grid import GridKind, distance
-from .particles import ParticleConfig, find_holes, make_config
+from .grid import distance
+from .particles import ParticleConfig, find_holes
 
 
 def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
@@ -110,15 +110,7 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
 
 
 def stall_label(config: ParticleConfig) -> str:
-    """The report's label for a stalled election.
-
-    On the king grid a config with no hole can still enclose a pocket of
-    the 4-adjacent background, around which the election stalls as well.
-    """
-    if find_holes(config).count:
-        return "stalled-by-holes"
-    if config.kind == GridKind.KING and find_holes(
-        make_config(GridKind.SQUARE, config.occupied)
-    ).count:
-        return "stalled-by-4-pockets"
-    return "stalled"
+    """The report's label for a stalled election: `stalled-by-holes` when
+    `find_holes` finds a hole (on the king grid, a pocket of the
+    4-adjacent background), else `stalled`."""
+    return "stalled-by-holes" if find_holes(config).count else "stalled"

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions, favoring obviousness
 over speed: BFS metrics, definition-level contractibility, flood-fill
-hole finding, exhaustive tree search, and the lower bounds on colors: a
+hole finding (under each grid's adjacency, and as the library reads
+king holes), exhaustive tree search, and the lower bounds on colors: a
 clique of each grid's k-th power and a brute-force chromatic number on
 small windows.  It imports no library code.  Library code must agree
 with these; the tests freeze the comparisons.
@@ -175,6 +176,25 @@ def border_cells(kind, cells):
                 out.add(p)
                 break
     return out
+
+
+def grid_holes(kind, cells):
+    """Holes as the library defines them.  On the king grid an
+    8-connected set bounds a 4-connected background (Rosenfeld 1970), so
+    its holes are the square grid's pockets of the same cells."""
+    return holes("square" if kind_name(kind) == "king" else kind, cells)
+
+
+def grid_border(kind, cells):
+    """Cells with a neighbour, under the grid's own adjacency, that is
+    free and in no pocket of `grid_holes`."""
+    cells = set(cells)
+    pocket_cells = set().union(*grid_holes(kind, cells))
+    return {
+        p
+        for p in cells
+        if any(q not in cells and q not in pocket_cells for q in neighborhood(kind, p))
+    }
 
 
 def intra_distances(kind, cells, src):

@@ -142,7 +142,7 @@ def test_election_transitions_preserve_candidate_invariants(kind):
             assert oracles.def1_contractible(cfg.kind, cset, e.coord)
             cset.discard(e.coord)
             assert oracles.connected(cfg.kind, cset)
-            assert not oracles.holes(cfg.kind, cset)
+            assert not oracles.grid_holes(cfg.kind, cset)
     assert cset == {leader_of(res.states)}
 
 
@@ -182,15 +182,15 @@ DIAMOND = [(0, 1), (1, 0), (1, 2), (2, 1)]
 @pytest.mark.parametrize("policy", [POLICY_RANDOM, POLICY_ROUND_ROBIN])
 def test_king_diamond_stalls_under_every_schedule(policy):
     # Four particles pairwise linked only by diagonals, surrounding an
-    # empty cell that is not a hole under king adjacency (it escapes
-    # between the diagonal edges) but is a pocket of the 4-adjacent
-    # background.  The king election needs that background pocket-free,
-    # so it stalls here by design: no particle is contractible, since
-    # each sees its two occupied slots two ports apart, and its occupied
-    # neighbourhood is disconnected.  Election quiesces with the full
-    # diamond stuck in C.
+    # empty cell that escapes only between the diagonal edges: a hole of
+    # the 4-connected background an 8-connected set bounds.  So the
+    # election stalls here as around any hole: no particle is
+    # contractible, since each sees its two occupied slots two ports
+    # apart, and its occupied neighbourhood is disconnected.  Election
+    # quiesces with the full diamond stuck in C.
     cfg = make_config("king", DIAMOND)
-    assert find_holes(cfg).count == 0
+    assert find_holes(cfg).holes == (frozenset({(1, 1)}),)
+    assert oracles.grid_holes("king", DIAMOND) == [frozenset({(1, 1)})]
     assert not any(oracles.def1_contractible("king", DIAMOND, p) for p in DIAMOND)
     res = run(cfg, ("elect",), Schedule(policy, seed=13))
     assert leader_of(res.states) is None
@@ -216,14 +216,14 @@ def test_king_blob_stall_depends_on_activation_order():
             for p, s in res.states.items()
             if p != leaders[0]
         )
-    # That crown, as a static witness: connected, no hole under king
-    # adjacency, no Definition-1 contractible member, and its middle cell
-    # is a pocket of the 4-adjacent (square) background.
+    # That crown, as a static witness: connected, no pocket of the
+    # king-adjacent background, no Definition-1 contractible member, and
+    # its middle cell is a hole: a pocket of the 4-adjacent background.
     crown = {(-2, -1), (-1, -2), (-1, 0), (0, -1)}
     assert oracles.connected("king", crown)
     assert not oracles.holes("king", crown)
     assert not any(oracles.def1_contractible("king", crown, p) for p in crown)
-    assert oracles.holes("square", crown) == [frozenset({(-1, -1)})]
+    assert oracles.grid_holes("king", crown) == [frozenset({(-1, -1)})]
 
 
 @pytest.mark.parametrize("side", [4, 5, 10, 20])

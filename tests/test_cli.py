@@ -272,12 +272,7 @@ def test_gen_blob_peel_with_nothing_removable_raises(monkeypatch):
         gen_blob(GridKind.SQUARE, 1600, rng)
 
 
-# The blob generator's postconditions, checked against the oracles.  On
-# the king grid a hole is a pocket of the 4-adjacent background, so its
-# blobs are checked for square-grid holes.
-HOLE_GRID = {"square": "square", "triangular": "triangular", "king": "square"}
-
-
+# The blob generator's postconditions, checked against the oracles.
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from([k.value for k in GridKind]),
@@ -290,7 +285,7 @@ def test_gen_blob_properties(kind, n, seed, allow_holes):
     assert len(cells) == n
     assert oracles.connected(kind, cells)
     if not allow_holes:
-        assert not oracles.holes(HOLE_GRID[kind], cells)
+        assert not oracles.grid_holes(kind, cells)
 
 
 @settings(max_examples=30, deadline=None)
@@ -371,20 +366,24 @@ def test_run_ring_stalls_with_exit_3(tmp_path):
     assert "rounds_tree" not in lines
 
 
-def test_run_king_diamond_stalls_by_4_pockets(tmp_path):
-    # no king hole: the middle cell escapes between the diagonal links,
-    # but it is a pocket of the 4-adjacent background
+def test_run_king_diamond_stalls_by_holes(tmp_path):
+    # the middle cell escapes only between the diagonal links: a pocket
+    # of the 4-adjacent background, which is a king hole, so verify,
+    # bound and run agree that the config has one
     path = tmp_path / "diamond.cfg"
     path.write_text(
         "grid king\nparticle 0 1\nparticle 1 0\nparticle 1 2\nparticle 2 1\n"
     )
-    assert "holes=0\n" in cli("verify", str(path)).stdout
+    assert "holes=1\n" in cli("verify", str(path)).stdout
+    bound = cli("bound", str(path))
+    assert bound.returncode == 4
+    assert "hole-free" in bound.stderr
     proc = cli("run", str(path))
     assert proc.returncode == 3
     lines = dict(l.split("=", 1) for l in proc.stdout.splitlines())
     assert lines["leader"] == "none"
     assert lines["residual"] == "4"
-    assert lines["invariants"] == "stalled-by-4-pockets"
+    assert lines["invariants"] == "stalled-by-holes"
 
 
 def test_run_k_override(rect_cfg):
@@ -457,6 +456,18 @@ def test_verify_run_reports_planted_violations():
     states = dict(clean)
     _plant(states, (0, 0), status=STATUS_LEADER)
     assert climod.verify_run(cfg, 1, states) == ["leaders=2"]
+    with pytest.raises(ValueError) as exc:
+        leader_of(states)
+    assert str(exc.value) == "multiple leaders [(0, 0), (2, 2)]"
+
+    states = dict(clean)
+    # a non-leader without a parent: 7 parent links for 9 particles, and
+    # (0, 1) still lists (0, 0) as its child
+    _plant(states, (0, 0), parent_port=None)
+    assert climod.verify_run(cfg, 1, states) == [
+        "tree-parent-count",
+        "tree-child: (0, 1)->(0, 0)",
+    ]
 
     states = dict(clean)
     _plant(states, (0, 1), child_ports=())
@@ -853,6 +864,27 @@ def test_duplicate_particle_line_exits_4(tmp_path):
     proc = cli("verify", str(path))
     assert proc.returncode == 4
     assert "line 3: duplicate particle 0 0" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the offsets were range-checked against the first grid
+        ("grid square\nparticle 0 0 3\nparticle 0 1 0\ngrid triangular\n",
+         "line 4: duplicate grid line"),
+        ("grid square\nk 2\nk 3\nparticle 0 0\n", "line 3: duplicate k line"),
+        ("seed 1\ngrid king\n# a comment\nseed 2\nparticle 0 0\n",
+         "line 4: duplicate seed line"),
+    ],
+    ids=["grid", "k", "seed"],
+)
+def test_repeated_grid_k_or_seed_line_exits_4(tmp_path, text, message):
+    path = tmp_path / "dup.cfg"
+    path.write_text(text)
+    proc = cli("verify", str(path))
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path}: {message}\n"
 
 
 # ---------------------------------------------------------------------------

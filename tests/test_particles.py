@@ -35,6 +35,8 @@ FIG_HOLE_TRI = [
     (3, 2), (2, 3), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3),
 ]
 PINCH = [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(1, 1), (2, 2)}]
+ANTI_PINCH = [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(1, 2), (2, 1)}]
+DIAMOND = [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def grown_blob(kind, n, seed):
@@ -113,11 +115,23 @@ def test_find_holes_counts():
 
 
 def test_hole_adjacency_follows_the_grid():
-    # same cells, different kinds: the two pockets merge exactly when
-    # the grid has the (+1,+1) diagonal
-    assert find_holes(make_config("king", PINCH)).count == 1
-    tri_pinch = [(i, j) for i in range(4) for j in range(4) if (i, j) not in {(1, 1), (2, 2)}]
-    assert find_holes(make_config("triangular", tri_pinch)).count == 2
+    # same cells, different kinds: two free cells that touch diagonally
+    # make one hole exactly when the background has that diagonal.  The
+    # triangular background has (+1,-1); the king background is
+    # 4-connected, as an 8-connected set's is (Rosenfeld 1970), so there
+    # the pockets of either pinch stay apart (`oracles.grid_holes`)
+    assert find_holes(make_config("king", PINCH)).count == 2
+    assert find_holes(make_config("triangular", PINCH)).count == 2
+    assert find_holes(make_config("king", ANTI_PINCH)).count == 2
+    assert find_holes(make_config("triangular", ANTI_PINCH)).count == 1
+
+
+def test_king_diamond_has_one_hole():
+    # its middle cell escapes only between diagonal links, which the
+    # 4-connected background cannot cross
+    report, edge = holes_and_border(make_config("king", DIAMOND))
+    assert report.holes == (frozenset({(1, 1)}),)
+    assert edge == set(DIAMOND)
 
 
 def test_open_pocket_is_not_a_hole():
@@ -134,7 +148,7 @@ def test_find_holes_matches_oracle_on_blobs(kind):
     counts = []
     for cells in blobs:
         got = list(find_holes(make_config(kind, cells)).holes)
-        assert got == oracles.holes(kind, cells)
+        assert got == oracles.grid_holes(kind, cells)
         counts.append(len(got))
     assert max(counts) >= 3
 
@@ -154,7 +168,7 @@ def test_border_matches_oracle_on_blobs(kind):
     for seed in range(10):
         cells = grown_blob(kind, 15 + 2 * seed, 100 + seed)
         got = border(make_config(kind, cells))
-        assert got == oracles.border_cells(kind, cells)
+        assert got == oracles.grid_border(kind, cells)
 
 
 # arbitrary sets of up to 36 cells in a 6x6 window placed anywhere
@@ -175,13 +189,16 @@ SMALL_SETS = st.builds(
 # holes next to the box's edge rows
 @example(kind=GridKind.SQUARE, cells={(i - 5, j - 1) for i, j in RING})
 @example(kind=GridKind.TRIANGULAR, cells={(i, j - 4) for i, j in FIG_HOLE_TRI})
-# a king diamond read on the square grid, as `stall_label` reads it:
-# disconnected there, around a one-cell hole
-@example(kind=GridKind.SQUARE, cells={(0, 1), (1, 0), (1, 2), (2, 1)})
+# a king diamond: one hole of the 4-adjacent background; and the same
+# cells on the square grid, disconnected there around that hole
+@example(kind=GridKind.KING, cells=set(DIAMOND))
+@example(kind=GridKind.SQUARE, cells=set(DIAMOND))
+# two free cells joined only by a diagonal: two king holes
+@example(kind=GridKind.KING, cells=set(PINCH))
 def test_floods_match_oracles_on_small_sets(kind, cells):
     config = make_config(kind, cells)
-    holes = oracles.holes(kind, cells)
-    edge = oracles.border_cells(kind, cells)
+    holes = oracles.grid_holes(kind, cells)
+    edge = oracles.grid_border(kind, cells)
     assert list(find_holes(config).holes) == holes
     assert border(config) == edge
     report, got_edge = holes_and_border(config)

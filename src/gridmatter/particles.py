@@ -11,9 +11,10 @@ neighbor slot.  Removing such a particle from S keeps S connected and
 hole-free, which is what the election algorithm leans on.  Its port-local
 form is one table: `contractibility_table` applies the definition-level
 test to every slot mask, which says which neighbor (and, on the square
-grid, corner) slots are in S.  On the king grid the election and the
-blob generator use the stricter `removal_table`, which opens no hole
-either.  There a hole is a pocket of the 4-adjacent background.
+grid, corner) slots are in S.  The election and the blob generator use
+`removal_table`, which is that table on the square and triangular grids
+and a stricter one on the king grid, where a hole is a pocket of the
+4-adjacent background.
 """
 
 from __future__ import annotations
@@ -295,8 +296,9 @@ def removal_table(kind: GridKind) -> tuple[bool, ...]:
     particle go whose four orthogonal neighbors all stay, which encloses
     a hole, a pocket of the 4-adjacent background (`HoleReport`).  So
     there a particle must also be (8,4)-simple: its free slots 4-adjacent
-    to it lie in one 4-connected run of the ring.  The same table decides
-    the reverse move, adding a free cell to the set.
+    to it lie in one 4-connected run of the ring.  The move is its own
+    reverse: on every grid a free cell whose mask reads True joins the set
+    without changing its topology, which is how `gen_blob` grows.
     """
     table = contractibility_table(kind)
     if kind != GridKind.KING:

@@ -9,12 +9,11 @@ each of the grid, k and seed lines may appear once.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .grid import GridKind, degree, directions
-from .particles import ParticleConfig, find_holes, removal_table, slot_cells
+from .particles import ParticleConfig, removal_table, slot_cells
 
 
 @dataclass(frozen=True)
@@ -123,31 +122,24 @@ def gen_ring(outer: int, inner: int) -> set:
 def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> set:
     """Random connected growth of n cells.
 
-    Without --allow-holes the result is hole-free.  On the square and
-    triangular grids pockets are filled and removable cells are then
-    peeled back to the requested size, one drawn at random from the
-    sorted list of removable cells per step.  On the king grid a cell is
-    added only when it could leave again, so the set stays hole-free as
-    it grows: a king hole is a pocket of the 4-adjacent background.
+    Without --allow-holes a drawn cell is added only when it could leave
+    again: when its slot mask, the occupancy of its 3x3 window, reads
+    True in `removal_table`.  Adding such a cell keeps the set's topology
+    (Kong & Rosenfeld, "Digital topology", CVGIP 1989), so the set stays
+    connected and hole-free as it grows.  Growth never runs out of
+    addable cells: the cell one step past a particle with the greatest i
+    sees occupied slots only behind it, one of them the port straight
+    back, and every such mask is addable.
 
-    A cell is removable when it can leave the set (or, when free, join
-    it) without changing the set's topology: the set stays connected and
-    gains no hole.  That is a lookup of the cell's slot mask, the
-    occupancy of its 3x3 window, in `removal_table`.  So removing a cell
-    changes the removability only of the cells whose window holds it
-    (Kong & Rosenfeld, "Digital topology", CVGIP 1989), and the peel
-    keeps the sorted list up to date by re-testing just those cells: the
-    list, and so every draw, is the one a full rescan would give.
-
-    Every draw is `rng.choice`'s or `rng.randrange`'s, inlined to save a
-    method call per draw: on CPython (3.10-3.12) both draw below m with
+    Every draw is `rng.choice`'s, inlined to save a method call per
+    draw: on CPython (3.10-3.12) it draws below m with
     `getrandbits(m.bit_length())`, redrawn while the result is >= m.
     `test_generator_draws_are_choice_and_randrange_draws` pins this.
 
-    The growth and the peel run on int keys (i + b) * w + (j + b) with
-    b = n + 2 and w = 2 * b, so a step (di, dj) adds di * w + dj.  Every
-    cell grown or tested lies within n of the origin, so 0 < i + b,
-    j + b < w: the keys are distinct and sort in the order of the pairs.
+    The growth runs on int keys (i + b) * w + (j + b) with b = n + 2 and
+    w = 2 * b, so a step (di, dj) adds di * w + dj.  Every cell grown or
+    tested lies within n of the origin, so 0 < i + b, j + b < w: the
+    keys are distinct.
     """
     if n < 1:
         raise ValueError("blob size must be positive")
@@ -158,17 +150,13 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     table = removal_table(kind)
     window = [(bit, di * w + dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
 
-    def removable(q: int) -> bool:
+    def addable(q: int) -> bool:
         mask = 0
         for bit, o in window:
             if q + o in occ:
                 mask |= bit
         return table[mask]
 
-    def pairs(keys) -> set:
-        return {(k // w - b, k % w - b) for k in keys}
-
-    grow_simple = kind == GridKind.KING and not allow_holes
     getrandbits = rng.getrandbits
     ndirs = len(dirs)
     dir_bits = ndirs.bit_length()
@@ -186,42 +174,13 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         while r >= ndirs:
             r = getrandbits(dir_bits)
         q += dirs[r]
-        if q in occ or (grow_simple and not removable(q)):
+        if q in occ or not (allow_holes or addable(q)):
             continue
         occ.add(q)
         cells.append(q)
         size += 1
         size_bits = size.bit_length()
-    if allow_holes or grow_simple:
-        return pairs(occ)
-    report = find_holes(ParticleConfig(kind=kind, occupied=frozenset(pairs(occ))))
-    for hole in report.holes:
-        occ.update((i + b) * w + j + b for i, j in hole)
-    peelable = sorted(q for q in occ if removable(q))
-    while len(occ) > n:
-        # rng.randrange(len(peelable)), which raises on an empty range
-        m = len(peelable)
-        if not m:
-            raise ValueError("blob peel found no removable cell")
-        bits = m.bit_length()
-        r = getrandbits(bits)
-        while r >= m:
-            r = getrandbits(bits)
-        p = peelable.pop(r)
-        occ.discard(p)
-        # the cells whose window holds p
-        for _, o in window:
-            q = p - o
-            if q not in occ:
-                continue
-            at = bisect_left(peelable, q)
-            listed = at < len(peelable) and peelable[at] == q
-            if removable(q) != listed:
-                if listed:
-                    del peelable[at]
-                else:
-                    peelable.insert(at, q)
-    return pairs(occ)
+    return {(k // w - b, k % w - b) for k in occ}
 
 
 def random_offsets(kind: GridKind, cells, rng: random.Random) -> dict:

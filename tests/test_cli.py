@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter import cli as climod
-from gridmatter import shapes
 from gridmatter.algorithms import (
     PIPELINE_FULL,
     STATUS_LEADER,
@@ -36,6 +35,7 @@ from gridmatter.algorithms import (
     leader_of,
     tree_parent,
 )
+from gridmatter.coloring import pattern
 from gridmatter.grid import GridKind, degree, directions
 from gridmatter.particles import find_holes, make_config, removal_table, slot_cells
 from gridmatter.scheduler import Schedule, SimulationError, run
@@ -138,9 +138,9 @@ GOLDEN_BLOBS = {
     ("square", False): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
         2: "b7c5642c4d849d35a6cee7fef624601ab41b7d36919fe86a63adeb5a7efc8518",
-        30: "cd22b2fd5e6f6c8b976294499f6714922b5a7161e9ccfd17326d92aa4bc99b42",
-        200: "d45bfbdb000da4045815568b05e6fa66b012c0b31380eff49084fca8e7eaaf09",
-        1600: "999fb0fd297f1de97726024fb44a8f52c3674d23a8582d1694d95b73a92b3a26",
+        30: "d8b43e0117f2022b54ef33b24892e12bb4bc9408bacab750cf345e2881c448f3",
+        200: "91eec1aa9887209c922f933f65aabcd7bd7630ed879fcc790c3c50461948bc01",
+        1600: "cc30fccb2a30a5b844b98b454ecf82f24bb96ea92bef502f12c5f11a749e6de8",
     },
     ("square", True): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
@@ -152,9 +152,9 @@ GOLDEN_BLOBS = {
     ("triangular", False): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
         2: "3de520bf21221ae58392f881b2c34f412ba47e2aa93d7027795b00027235bed2",
-        30: "31963b5a5498849e2c935fe988d4975c5a21576a69658772bcadb48571285013",
-        200: "37d73ce2363b7289cd907920c00a63802bf2a9fbcaf2e100912edfb32f3daa37",
-        1600: "9254059887cee398f30ee6690a0418c56abdc24396456e8e8a9c8ffa97cef8a4",
+        30: "84d4899f28be5b799f51342d0a99a327890759dfdfb9e34799bfcf361cd55e86",
+        200: "4b47ba5ba14b2cfc954e1914801448e3e8120f12ab1948caa2870f5d42f5ddc3",
+        1600: "329bbe8774effbe725150a5a5547f6220abff49c9bf40f3ef26854c4ce7167ad",
     },
     ("triangular", True): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
@@ -180,8 +180,8 @@ GOLDEN_BLOBS = {
 }
 
 GOLDEN_CONFIG_TEXT = {
-    "square": "f92ed97abc2604905e967f4e5b187e994c20e2d8811b39041b20afb35d1d26a2",
-    "triangular": "679062b3ad144aa845d272aee28c5dc1cc1653498276405dbd80e1b9a7e3743f",
+    "square": "2e203a8a7948a79ffffaa48b817a95d09fea7445c46735a06218c6cac753a95f",
+    "triangular": "72c5c64467e8a3f2f6467bf8151ad22d18a67852ffadadd28f36353b5112f4a8",
     "king": "30ac315dbbfe6bf8d3f3b4d57106b9fd3eb2bc7ef6ad78788290bef601bc4663",
 }
 
@@ -210,37 +210,28 @@ def test_generate_shape_config_text_golden(kind):
 
 
 def _reference_gen_blob(kind, n, rng, allow_holes):
-    """gen_blob's draws made by rng.choice and rng.randrange, and its peel
-    list rebuilt by a full rescan before every draw."""
+    """gen_blob's draws made by rng.choice, on pair cells."""
     dirs = directions(kind)
     table = removal_table(kind)
     window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
 
-    def removable(p):
+    def addable(p):
         mask = 0
         for bit, di, dj in window:
             if (p[0] + di, p[1] + dj) in occ:
                 mask |= bit
         return table[mask]
 
-    grow_simple = kind == GridKind.KING and not allow_holes
     occ = {(0, 0)}
     cells = [(0, 0)]
     while len(occ) < n:
         i, j = rng.choice(cells)
         di, dj = rng.choice(dirs)
         q = (i + di, j + dj)
-        if q in occ or (grow_simple and not removable(q)):
+        if q in occ or not (allow_holes or addable(q)):
             continue
         occ.add(q)
         cells.append(q)
-    if allow_holes or grow_simple:
-        return occ
-    for hole in find_holes(make_config(kind, occ)).holes:
-        occ.update(hole)
-    while len(occ) > n:
-        peelable = sorted(p for p in occ if removable(p))
-        occ.discard(peelable[rng.randrange(len(peelable))])
     return occ
 
 
@@ -263,13 +254,20 @@ def test_generator_draws_are_choice_and_randrange_draws(kind, allow_holes):
             assert ours.getstate() == ref.getstate()
 
 
-def test_gen_blob_peel_with_nothing_removable_raises(monkeypatch):
-    # randrange(0) raises; the inlined peel draw must raise too, not spin.
-    # Seed 0 grows holes at N=1600, so the fill leaves cells to peel.
-    monkeypatch.setattr(shapes, "removal_table", lambda kind: [False] * 256)
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        gen_blob(GridKind.SQUARE, 1600, rng)
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_growth_always_has_an_addable_cell(kind):
+    # Why gen_blob's growth terminates: take a particle (i, j) with the
+    # greatest i.  The cell (i+1, j) is one draw away (every grid has
+    # direction (1, 0)), and its occupied slots all lie at di = -1 and
+    # include the port (-1, 0).  Every such mask must be addable.
+    slots = slot_cells(kind, (0, 0))
+    behind = [bit for bit, (di, _) in slots if di == -1]
+    back = next(bit for bit, c in slots if c == (-1, 0))
+    table = removal_table(kind)
+    for bits in range(1 << len(behind)):
+        mask = sum(bit for a, bit in enumerate(behind) if bits >> a & 1)
+        if mask & back:
+            assert table[mask], (kind, bin(mask))
 
 
 # The blob generator's postconditions, checked against the oracles.
@@ -501,6 +499,13 @@ def test_verify_run_reports_planted_violations():
     assert climod.verify_run(cfg, 1, states) == [
         "frame-offset: (0, 0)",
         "port-reciprocity: (0, 0)<->(0, 1)",
+    ]
+
+    states = dict(clean)
+    _plant(states, (0, 0), local_id=pattern(cfg.kind, 1).color_count)
+    assert climod.verify_run(cfg, 1, states) == [
+        "id-range: (0, 0)",
+        "id-position: (0, 0)",
     ]
 
     states = dict(clean)

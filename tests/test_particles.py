@@ -337,7 +337,7 @@ def test_radius_rejects_holes_and_mtree_rejects_large():
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 10_000), n=st.integers(2, 26))
 def test_contraction_progress_and_preservation(kind, seed, n):
-    # progress guarantee behind peeling and election: a hole-free system
+    # progress guarantee behind the election: a hole-free system
     # always has a contractible particle, and contracting it keeps the
     # rest connected and hole-free.
     #

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
-from gridmatter.particles import key_width, make_config
+from gridmatter.particles import ParticleConfig, key_width, make_config
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
@@ -139,6 +140,36 @@ def test_activation_cap_raises():
     cfg = make_config("square", TWO)
     with pytest.raises(SimulationError):
         run(cfg, PIPELINE_FULL, Schedule(), max_activations=3)
+    # a cap of exactly the activations a finished run made lets it finish
+    done = run(cfg, PIPELINE_FULL, Schedule())
+    cap = done.trace.activations
+    assert run(cfg, PIPELINE_FULL, Schedule(), max_activations=cap).states == done.states
+    with pytest.raises(SimulationError) as err:
+        run(cfg, PIPELINE_FULL, Schedule(), max_activations=cap - 1)
+    assert str(err.value) == f"activation cap {cap - 1} exceeded during ids"
+
+
+@pytest.mark.parametrize("cells,cap", [(TWO[:2], 1024), (TWO, 2048)])
+def test_a_never_quiescing_phase_hits_the_default_cap(monkeypatch, cells, cap):
+    # every step makes a new state and wakes its own particle, so elect
+    # never quiesces; the default cap is 64 * n * max(2n, 8), and at n = 4
+    # both arguments of max are 8, so a change to either constant shows
+    def restless(self, p, s, inbox, states):
+        return dataclasses.replace(s), (), (p,)
+
+    monkeypatch.setattr(algorithms.ElectProtocol, "step", restless)
+    with pytest.raises(SimulationError) as err:
+        run(make_config("square", cells), PIPELINE_FULL, Schedule())
+    assert str(err.value) == f"activation cap {cap} exceeded during elect"
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_a_config_without_frame_offsets_runs_at_offset_zero(kind):
+    cells = gen_blob(kind, 20, random.Random(3))
+    bare = run(ParticleConfig(kind, frozenset(cells)), PIPELINE_FULL, Schedule(), k=2)
+    zeros = run(make_config(kind, cells), PIPELINE_FULL, Schedule(), k=2)
+    assert bare.states == zeros.states
+    assert bare.trace.to_text() == zeros.trace.to_text()
 
 
 def test_run_quiesces_with_a_silent_confirm_round():
@@ -251,9 +282,9 @@ GOLDEN = {
         "347c4600afd4fc4aea6430984a65a627abdb39962ea47411312988c0a7d120f3",
     ),
     ("square", "blob60"): (
-        "52896e88aa5075aa81801d5121b89772303adbd27c59534810a213d6df9471da",
-        "ab646c56e9112fd06356b74a5f80bc303b08b403c3e72d91115bf2b5f1af749c",
-        "1504918b8d17dcf20a71533077bc20bbf29e8ebe32812f993988430373e71dae",
+        "91b70c49877ae26f937177530e25e79650c912a67b053a6dd112baf2bcd10a4a",
+        "7653c5cb6a9d8925a491ba9c58f9e906d654992900d22c03602911326d0b27d4",
+        "ace6f0967913b29eba83f852cadc11cd8d3777c2e284dc23b1964414d039dee1",
     ),
     ("triangular", "rect5x4"): (
         "1e3ebdaa1bc66504bb979be645e25976c3e384c5f15780608d6c6b00bdb18c6f",
@@ -266,9 +297,9 @@ GOLDEN = {
         "90ae0bdb7acd7da8845d822176b93a64a0550716f027cbaedde7fe11f7506d14",
     ),
     ("triangular", "blob60"): (
-        "17eff1ff752d212885e274cadcaf43c0e92d6da05806e61f8c0ce2a106c49905",
-        "a7bcc3da21b4ef6392442770352e560913caac1d3769d7be458d7f5f7a82915a",
-        "09ba16bb2ff867c4115e1495019771ba3f2a7b111ce779af1eca33223b396a9f",
+        "044e71641fcaa13e4888b3571662955068f7a7b60998b7817e9fd14ee78cfb2e",
+        "c6224db6058a0407042fb0b06bda13ff35e46bdf968f1de7be3baa970e0ef218",
+        "81006c2dcc10b918477e4b398ec2c657328c9ffec24242708efa50e1feb98468",
     ),
     ("king", "rect5x4"): (
         "e4557c3b272ecf2bb3f39c7f714a76116ceae9ded7458b65b3551e99c9706b81",
@@ -318,16 +349,16 @@ def test_golden_trace_digests(kind, shape):
 # a change to the engine or the steps did the same work.
 WORK = {
     "square": {
-        "elect": (942, 660, 62, 80, 0, 0),
-        "tree": (992, 992, 98, 116, 1008, 642),
-        "renumber": (660, 660, 96, 114, 642, 642),
-        "ids": (660, 660, 96, 114, 642, 642),
+        "elect": (922, 660, 56, 74, 0, 0),
+        "tree": (1004, 1004, 102, 120, 1014, 642),
+        "renumber": (660, 660, 100, 118, 642, 642),
+        "ids": (660, 660, 100, 118, 642, 642),
     },
     "triangular": {
-        "elect": (826, 660, 46, 64, 0, 0),
-        "tree": (1224, 1224, 96, 114, 1428, 642),
-        "renumber": (660, 660, 94, 112, 642, 642),
-        "ids": (660, 660, 92, 110, 642, 642),
+        "elect": (838, 660, 48, 66, 0, 0),
+        "tree": (1210, 1210, 98, 116, 1416, 642),
+        "renumber": (660, 660, 96, 114, 642, 642),
+        "ids": (660, 660, 98, 116, 642, 642),
     },
     "king": {
         "elect": (824, 660, 54, 72, 0, 0),

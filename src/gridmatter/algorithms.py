@@ -159,10 +159,11 @@ class ElectProtocol:
 
     A candidate whose candidate neighborhood would stay connected after
     its removal retires; it becomes the leader instead when it is the
-    last candidate in sight.  On the king grid it must in addition be
-    (8,4)-simple (see `removal_table`), so the retirement opens no hole;
-    without that, erosion builds diagonal crowns that no port-local rule
-    can take apart.  Reads neighbor statuses only, sends nothing.
+    last candidate in sight.  On every grid the retirement must also open
+    no hole by `find_holes` (see `removal_table`), which on the king grid
+    refuses a candidate whose four orthogonal neighbors all stay; without
+    that, erosion builds diagonal crowns that no port-local rule can take
+    apart.  Reads neighbor statuses only, sends nothing.
     """
 
     def __init__(self, config: ParticleConfig):

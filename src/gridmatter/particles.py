@@ -12,9 +12,9 @@ hole-free, which is what the election algorithm leans on.  Its port-local
 form is one table: `contractibility_table` applies the definition-level
 test to every slot mask, which says which neighbor (and, on the square
 grid, corner) slots are in S.  The election and the blob generator use
-`removal_table`, which is that table on the square and triangular grids
-and a stricter one on the king grid, where a hole is a pocket of the
-4-adjacent background.
+`removal_table`: on every grid a particle may leave when Definition 1
+holds and its removal opens no hole by `find_holes`, which on the king
+grid also refuses a particle whose four orthogonal neighbors all stay.
 """
 
 from __future__ import annotations
@@ -264,48 +264,27 @@ def contractibility_table(kind: GridKind) -> tuple[bool, ...]:
     )
 
 
-def _king_background_runs(mask: int) -> int:
-    """Runs of free slots around a king-grid vertex that hold a port 4-adjacent to it.
-
-    Ring-consecutive slots are exactly the 4-adjacent pairs of the 3x3
-    window, so a run of free slots is one 4-connected piece of the free
-    window; the even ports are the 4-adjacent ones.
-    """
-    free = [not mask >> a & 1 for a in range(8)]
-    if all(free):
-        return 1
-    start = free.index(False)
-    runs = 0
-    touches = False
-    for step in range(1, 9):
-        a = (start + step) % 8
-        if free[a]:
-            touches |= a % 2 == 0
-        elif touches:
-            runs += 1
-            touches = False
-    return runs
-
-
 @lru_cache(maxsize=None)
 def removal_table(kind: GridKind) -> tuple[bool, ...]:
     """Which slot bitmasks let a particle leave the set without changing its topology.
 
-    Indexed like `contractibility_table`.  On the square and triangular
-    grids it is that table.  On the king grid, Definition 1 alone lets a
-    particle go whose four orthogonal neighbors all stay, which encloses
-    a hole, a pocket of the 4-adjacent background (`HoleReport`).  So
-    there a particle must also be (8,4)-simple: its free slots 4-adjacent
-    to it lie in one 4-connected run of the ring.  The move is its own
-    reverse: on every grid a free cell whose mask reads True joins the set
-    without changing its topology, which is how `gen_blob` grows.
+    Indexed like `contractibility_table`: Definition 1 holds, and the
+    slot cells left behind enclose no hole by `find_holes`.  Definition 1
+    implies the second test on the square and triangular grids; on the
+    king grid, where a hole is a pocket of the 4-adjacent background, it
+    refuses exactly a particle whose four orthogonal neighbors all stay.
+    The move is its own reverse: on every grid a free cell whose mask
+    reads True joins the set without changing its topology, which is how
+    `gen_blob` grows.
     """
+    slots = slot_cells(kind, (0, 0))
+
+    def opens_no_hole(mask: int) -> bool:
+        cells = frozenset(c for bit, c in slots if mask & bit)
+        return not cells or not find_holes(ParticleConfig(kind, cells)).count
+
     table = contractibility_table(kind)
-    if kind != GridKind.KING:
-        return table
-    return tuple(
-        ok and _king_background_runs(mask) == 1 for mask, ok in enumerate(table)
-    )
+    return tuple(ok and opens_no_hole(mask) for mask, ok in enumerate(table))
 
 
 # ---------------------------------------------------------------------------

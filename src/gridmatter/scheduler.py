@@ -58,8 +58,10 @@ class Schedule:
     Explicit orders are given per round, each naming every particle and
     no other cell (a particle may repeat); rounds past the provided list
     fall back to the sorted round-robin order, so quiescence confirmation
-    does not need to be spelled out.  `run` checks every order, and the
-    policy, before the first phase, also an order no phase reaches.
+    does not need to be spelled out.  `run` checks every order, the
+    policy and a random schedule's seed (None is refused: the trace
+    replays the shuffles from it) before the first phase, also an order
+    no phase reaches.
     """
 
     policy: str = POLICY_ROUND_ROBIN
@@ -196,7 +198,10 @@ def _shuffled(items: Sequence, rng: random.Random) -> list:
 
 def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[list[int]]:
     """The int keys of each explicit order of `schedule`, every order
-    checked against `particles`; none for the other policies."""
+    checked against `particles`; none for the other policies, a random
+    one checked for a seed."""
+    if schedule.policy == POLICY_RANDOM and schedule.seed is None:
+        raise SimulationError("a random schedule needs a seed, not None")
     if schedule.policy in (POLICY_ROUND_ROBIN, POLICY_RANDOM):
         return []
     if schedule.policy != POLICY_EXPLICIT:

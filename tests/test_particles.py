@@ -280,6 +280,21 @@ def test_king_removal_table_matches_simple_point_definition():
         assert removal_table(kind) == contractibility_table(kind)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_removal_table_is_definition_1_plus_no_hole_left(kind):
+    # one rule on every grid: p may leave S when Definition 1 holds and
+    # S without p has no hole; an empty remainder has none
+    slots = slot_cells(kind, (0, 0))
+    table = removal_table(kind)
+    assert len(table) == 1 << len(slots)
+    for mask, allowed in enumerate(table):
+        rest = {c for bit, c in slots if mask & bit}
+        s = rest | {(0, 0)}
+        opens_hole = bool(rest) and bool(oracles.grid_holes(kind, rest))
+        want = oracles.def1_contractible(kind, s, (0, 0)) and not opens_hole
+        assert allowed == want, mask
+
+
 # r, mtree, and the derived round bound, pinned against the exhaustive
 # oracle.  The square bound doubles and pads; the other grids add one.
 BOUND_CASES = [

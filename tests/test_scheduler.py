@@ -106,6 +106,16 @@ def test_unknown_policy_raises_even_with_an_empty_pipeline():
     assert str(err.value) == "unknown schedule policy 'bogus'"
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_a_random_schedule_without_a_seed_raises_before_the_first_phase(record):
+    # a trace replays its shuffled rounds from the seed, so OS entropy
+    # would give a run whose trace cannot be expanded
+    cfg = make_config("square", TWO)
+    with pytest.raises(SimulationError) as err:
+        run(cfg, PIPELINE_FULL, Schedule(POLICY_RANDOM, seed=None), record=record)
+    assert str(err.value) == "a random schedule needs a seed, not None"
+
+
 def test_explicit_orders_fall_back_to_sorted_when_exhausted():
     cfg = make_config("square", TWO)
     first = tuple(sorted(TWO, reverse=True))

@@ -84,7 +84,8 @@ class TraceRound:
     `order` is None for a shuffled round, whose order `RunTrace.orders()`
     replays.  `changes` maps a position in the order (an explicit order
     may repeat a particle) to `(transition, messages)` for each
-    activation that changed state or sent; the rest were no-ops."""
+    activation that changed state or sent; the rest were no-ops.  Equal
+    entries of one run are one object."""
 
     algorithm: str
     order: Optional[Sequence[Coord]]
@@ -120,7 +121,8 @@ class TraceEvents:
 
 @dataclass
 class RunTrace:
-    """A run's totals and, when recorded, its rounds; `events` and
+    """A run's totals and, when recorded, its rounds, whose equal
+    `(transition, messages)` entries share one object; `events` and
     `to_text()` expand the rounds on each call, in memory proportional
     to what they return.  `particles` are the run's sorted particles and
     `seed` its shuffle seed, None unless the schedule shuffles."""
@@ -270,6 +272,7 @@ def run(
     # mail as (receiver's local port of arrival, payload) pairs
     inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
     trace = RunTrace(particles=particles, seed=schedule.seed if shuffles else None)
+    entries: dict[tuple[str, int], tuple[str, int]] = {}  # one object per distinct entry
     reports: list[AlgorithmReport] = []
     steps = algorithms.port_keys(config.kind, w)
     d = len(steps)
@@ -339,10 +342,11 @@ def run(
                         awake.add(target)
                     round_sends += len(outbox)
                 if record and (changed or outbox):
-                    changes[pos] = (
+                    entry = (
                         proto.describe(state, new_state) if changed else "-",
                         len(outbox),
                     )
+                    changes[pos] = entries.setdefault(entry, entry)
                 if not awake:
                     break
             phase_sends += round_sends

@@ -91,19 +91,19 @@ def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
             violations.append(f"id-position: {p}")
     # a pair within distance k is within k on each axis, and q > p holds
     # exactly for the offsets after (0, 0), so each pair is found once,
-    # from its least member p
+    # from its least member p; the distance depends on the offset alone
     half = [
         (di, dj)
         for di in range(k + 1)
         for dj in range(-k, k + 1)
-        if (di, dj) > (0, 0)
+        if (di, dj) > (0, 0) and distance(kind, (0, 0), (di, dj)) <= k
     ]
     collisions = []
     for p, mine in ids.items():
         i, j = p
         for di, dj in half:
             q = (i + di, j + dj)
-            if ids.get(q) == mine and distance(kind, p, q) <= k:
+            if ids.get(q) == mine:
                 collisions.append((p, q))
     violations += [f"id-collision: {p} {q}" for p, q in sorted(collisions)]
     return violations

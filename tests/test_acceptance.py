@@ -73,19 +73,47 @@ def _connected(kind, cells):
     return not cells or oracles.connected(kind, cells)
 
 
-def _creates_pocket(kind, cells, freed, lo, hi):
+def _still_connected(kind, cells, p):
+    """Whether `cells` is connected, given that it was with p in it.
+
+    Then a path in `cells` between any two members can be rerouted
+    around p through p's neighbours, so it is enough that those
+    neighbours reach each other; the BFS stops once they all have.
+    """
+    dirs = oracles.DIRS[oracles.kind_name(kind)]
+    left = {(p[0] + di, p[1] + dj) for di, dj in dirs} & cells
+    if not left:
+        return not cells  # p was the last one
+    start = left.pop()
+    seen = {start}
+    queue = deque([start])
+    while queue and left:
+        i, j = queue.popleft()
+        for di, dj in dirs:
+            w = (i + di, j + dj)
+            if w in cells and w not in seen:
+                seen.add(w)
+                left.discard(w)
+                queue.append(w)
+    return not left
+
+
+def _creates_pocket(kind, cells, freed, lo, hi, exterior):
     """Flood the complement from a freshly freed cell.
 
     The complement of the shrinking candidate set only ever grows by the
     freed cell, so any new finite pocket must contain it; escaping the
-    bounding frame identifies the exterior.
+    bounding frame identifies the exterior.  For the same reason a cell
+    once reached from the exterior stays in it: `exterior` keeps every
+    cell of an escaping flood, and a flood that meets one has escaped.
     """
     dirs = oracles.DIRS[oracles.kind_name(kind)]
     seen = {freed}
     queue = deque([freed])
     while queue:
         i, j = queue.popleft()
-        if not (lo[0] <= i <= hi[0] and lo[1] <= j <= hi[1]):
+        if not (lo[0] <= i <= hi[0] and lo[1] <= j <= hi[1]) or (i, j) in exterior:
+            exterior |= seen
             return False
         for di, dj in dirs:
             w = (i + di, j + dj)
@@ -143,6 +171,10 @@ def _audit_run(kind, cfg, cells, res, stats):
     C = set(cells)
     lo = (min(c[0] for c in cells) - 1, min(c[1] for c in cells) - 1)
     hi = (max(c[0] for c in cells) + 1, max(c[1] for c in cells) + 1)
+    # the local check holds only while C is connected; while it is split,
+    # every retirement is checked over the whole set
+    split = not _connected(kind, C)
+    exterior = set()
     # elect runs first, so its rounds lead the log; the replay stops at
     # the first round of another phase, before its order is drawn
     orders = res.trace.orders()
@@ -156,9 +188,11 @@ def _audit_run(kind, cfg, cells, res, stats):
                 if not legal(C, p):
                     stats["legal_bad"] += 1
                 C.discard(p)
-                if not _connected(kind, C):
-                    stats["conn_bad"] += 1
-                if _creates_pocket(pocket_kind, C, p, lo, hi):
+                if split or not _still_connected(kind, C, p):
+                    split = not _connected(kind, C)
+                    if split:
+                        stats["conn_bad"] += 1
+                if _creates_pocket(pocket_kind, C, p, lo, hi, exterior):
                     stats["hole_bad"] += 1
             elif transition == "C->L":
                 if C != {p}:

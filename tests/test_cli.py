@@ -55,17 +55,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 
-def cli(*args, cwd=None):
+def _env():
     # An absolute src entry lets the child import the package from any
-    # cwd; a relative PYTHONPATH would resolve against cwd instead.
+    # cwd; a relative PYTHONPATH would resolve against cwd instead.  The
+    # inherited entries follow, so the child finds click as the parent did.
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
+
+
+def cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "gridmatter.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=_env(),
     )
 
 
@@ -928,8 +932,7 @@ def test_importing_the_cli_loads_no_numpy():
         "import sys, gridmatter, gridmatter.cli; "
         "sys.exit('numpy' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    proc = subprocess.run([sys.executable, "-c", code], env=_env())
     assert proc.returncode == 0
 
 
@@ -942,8 +945,7 @@ def test_only_the_cli_imports_click():
         if f.stem not in ("__init__", "cli")
     )
     code = "import sys; sys.modules['click'] = None; import " + ", ".join(modules)
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -993,8 +995,7 @@ def test_importing_the_oracles_loads_no_networkx():
         "import oracles, gridmatter; "
         "sys.exit('networkx' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    proc = subprocess.run([sys.executable, "-c", code], env=_env())
     assert proc.returncode == 0
 
 
@@ -1007,7 +1008,6 @@ def test_the_oracles_run_without_the_library():
         "assert oracles.min_colors_bruteforce('square', 1, (3, 3)) == 2; "
         "assert oracles.clique_lower_bound('triangular', 3) == 12"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

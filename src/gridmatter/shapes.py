@@ -120,21 +120,34 @@ def gen_ring(outer: int, inner: int) -> set:
 
 
 def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> set:
-    """Random connected growth of n cells.
+    """Random connected growth of n cells, drawn from a frontier.
 
-    Without --allow-holes a drawn cell is added only when it could leave
-    again: when its slot mask, the occupancy of its 3x3 window, reads
-    True in `removal_table`.  Adding such a cell keeps the set's topology
-    (Kong & Rosenfeld, "Digital topology", CVGIP 1989), so the set stays
-    connected and hole-free as it grows.  Growth never runs out of
-    addable cells: the cell one step past a particle with the greatest i
-    sees occupied slots only behind it, one of them the port straight
-    back, and every such mask is addable.
+    `front` holds one entry per (grown cell, direction) pair whose target
+    was free when that cell grew, starting with the origin's neighbours.
+    Each step draws an entry uniformly.  An entry whose target has grown
+    since is stale: it is swap-popped and the draw repeats.  Without
+    --allow-holes a target is added only when it could leave again: when
+    its slot mask, the occupancy of its 3x3 window, reads True in
+    `removal_table`.  A refused entry stays, since its mask may change,
+    and the draw repeats.  An added target's entry is swap-popped and
+    the new cell's free neighbours are appended in `directions` order.
 
-    Every draw is `rng.choice`'s, inlined to save a method call per
-    draw: on CPython (3.10-3.12) it draws below m with
+    Adding such a cell keeps the set's topology (Kong & Rosenfeld,
+    "Digital topology", CVGIP 1989), so the set stays connected and
+    hole-free as it grows.  The law is Eden growth's: the live entries
+    are exactly the (cell, direction) pairs with a free target, each
+    held once, so conditioned on acceptance the next cell is a uniform
+    draw over the pairs whose target is free and addable, as when a
+    grown cell and a direction are drawn and retried until they hit one.
+    Growth never runs out of addable cells: the cell one step past a
+    particle with the greatest i is free, so its entry is live; it sees
+    occupied slots only behind it, one of them the port straight back,
+    and every such mask is addable.
+
+    Every draw is `rng.randrange(len(front))`'s, inlined to save a
+    method call per draw: on CPython (3.10-3.12) it draws below m with
     `getrandbits(m.bit_length())`, redrawn while the result is >= m.
-    `test_generator_draws_are_choice_and_randrange_draws` pins this.
+    `test_generator_draws_are_randrange_draws` pins this.
 
     The growth runs on int keys (i + b) * w + (j + b) with b = n + 2 and
     w = 2 * b, so a step (di, dj) adds di * w + dj.  Every cell grown or
@@ -158,28 +171,29 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         return table[mask]
 
     getrandbits = rng.getrandbits
-    ndirs = len(dirs)
-    dir_bits = ndirs.bit_length()
     origin = b * w + b
     occ = {origin}
-    cells = [origin]
-    size, size_bits = 1, 1
+    front = [origin + o for o in dirs]
+    size = 1
     while size < n:
-        # rng.choice(cells), then rng.choice(dirs)
-        r = getrandbits(size_bits)
-        while r >= size:
-            r = getrandbits(size_bits)
-        q = cells[r]
-        r = getrandbits(dir_bits)
-        while r >= ndirs:
-            r = getrandbits(dir_bits)
-        q += dirs[r]
-        if q in occ or not (allow_holes or addable(q)):
+        # rng.randrange(len(front))
+        m = len(front)
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        q = front[r]
+        if q in occ:
+            front[r] = front[-1]
+            front.pop()
+            continue
+        if not (allow_holes or addable(q)):
             continue
         occ.add(q)
-        cells.append(q)
         size += 1
-        size_bits = size.bit_length()
+        front[r] = front[-1]
+        front.pop()
+        front += [q + o for o in dirs if q + o not in occ]
     return {(k // w - b, k % w - b) for k in occ}
 
 

@@ -3,9 +3,10 @@
 Everything here is written from the definitions, favoring obviousness
 over speed: BFS metrics, definition-level contractibility, flood-fill
 hole finding (under each grid's adjacency, and as the library reads
-king holes), exhaustive tree search, and the lower bounds on colors: a
-clique of each grid's k-th power and a brute-force chromatic number on
-small windows.  It imports no library code.  Library code must agree
+king holes), exhaustive tree search, the election's round bound and a
+certificate for it from two geodesics, and the lower bounds on colors:
+a clique of each grid's k-th power and a brute-force chromatic number
+on small windows.  It imports no library code.  Library code must agree
 with these; the tests freeze the comparisons.
 """
 
@@ -248,6 +249,35 @@ def max_tree_height(kind, cells) -> int:
     for p in cells:
         extend({p}, p, 0)
     return -(-best // 2)
+
+
+def round_bound(kind, r, mt) -> int:
+    """b_G(r, mtree), the paper's bound on the election's active rounds."""
+    return 2 * (r + mt) + 2 if kind_name(kind) == "square" else r + mt + 1
+
+
+def round_bound_certificate(kind, cells) -> int:
+    """A lower bound on b_G(r, mtree) from two double sweeps.
+
+    With d the distance within the cells: for border particles a and b,
+    r >= ceil(d(a, b)/2), since a centre lies within r of both; for any
+    particles x and y, mtree >= ceil(d(x, y)/2), since a shortest path
+    is an induced path.  b_G grows with both, so a run within this bound
+    is within the paper's.  A double sweep BFS's from the least member to
+    the farthest one, then from there to the farthest again.
+    """
+    cells = set(cells)
+
+    def sweep(members):
+        far = min(members)
+        for _ in range(2):
+            dist = intra_distances(kind, cells, far)
+            far = max(members, key=lambda p: (dist[p], p))
+        return dist[far]
+
+    r = -(-sweep(grid_border(kind, cells)) // 2)
+    mt = -(-sweep(cells) // 2)
+    return round_bound(kind, r, mt)
 
 
 def coloring_valid(color, kind, k, span=12) -> bool:

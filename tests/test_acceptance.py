@@ -16,7 +16,7 @@ import random
 import time
 from collections import deque
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 import pytest
@@ -143,10 +143,17 @@ COUNTERS = (
     "hole_bad",
     "exist_bad",
     "rounds2n_bad",
+    "bound_bad",
     "msg_bad",
     "phase_round_bad",
     "verify_bad",
 )
+
+
+@lru_cache(maxsize=1)
+def _certificate(kind, cells):
+    """`oracles.round_bound_certificate`, once for a shape's three runs."""
+    return oracles.round_bound_certificate(kind, cells)
 
 
 def _audit_run(kind, cfg, cells, res, stats):
@@ -204,8 +211,20 @@ def _audit_run(kind, cfg, cells, res, stats):
             stats["exist_bad"] += 1  # stuck with no contractible candidate
 
     reports = {r.name: r for r in res.reports}
-    if reports["elect"].rounds_active >= 2 * n:
+    rounds = reports["elect"].rounds_active
+    if rounds >= 2 * n:
         stats["rounds2n_bad"] += 1
+    # the paper's bound b_G(r, mtree), certified from two geodesics; a run
+    # above the certificate gets the exact bound while that is cheap, and
+    # otherwise is named, since it may still be within b_G
+    if rounds > _certificate(kind, tuple(cells)):
+        if n <= 18:
+            r = oracles.radius_to_border(kind, cells)
+            mt = oracles.max_tree_height(kind, cells)
+            stats["bound_bad"] += rounds > oracles.round_bound(kind, r, mt)
+        else:
+            stats["bound_bad"] += 1
+            stats.setdefault("uncertified", []).append((n, rounds, sorted(cells)))
 
     if stalled:
         stats["stalls"] += 1
@@ -306,12 +325,13 @@ def test_audit_flags_planted_faults():
         # rings a pocket of the 4-adjacent background; no arm of the
         # diamond can go after it
         (plus, [((1, 1), "C->N")], dict(legal_bad=1, hole_bad=1, exist_bad=1)),
-        # the plus peeled arm by arm is legal
+        # the plus peeled arm by arm is legal, but one retirement per
+        # round takes 5 rounds, above b_G(1, 1) = 3
         (
             plus,
             [((0, 1), "C->N"), ((1, 0), "C->N"), ((1, 2), "C->N"),
              ((2, 1), "C->N"), ((1, 1), "C->L")],
-            dict(),
+            dict(bound_bad=1),
         ),
     ]
     for kind, group in ((GridKind.SQUARE, cases), (GridKind.KING, king_cases)):
@@ -350,7 +370,13 @@ def test_criterion_2_round_bounds(batch):
     ok = False
     try:
         for kind in KINDS:
-            assert batch[kind]["rounds2n_bad"] == 0, f"{kind.value}: rounds >= 2n"
+            s = batch[kind]
+            assert s["rounds2n_bad"] == 0, f"{kind.value}: rounds >= 2n"
+            assert s["bound_bad"] == 0, (
+                f"{kind.value}: {s['bound_bad']} runs above b_G(r, mtree) or, "
+                "for n > 18, above its certificate; uncertified (n, rounds, "
+                f"shape): {s.get('uncertified', [])}"
+            )
         rows = []
         for kind in KINDS:
             rng = random.Random(2000 + len(kind.value))
@@ -360,7 +386,7 @@ def test_criterion_2_round_bounds(batch):
                 cfg = make_config(kind, cells, random_offsets(kind, cells, rng))
                 r = oracles.radius_to_border(kind, cells)
                 mt = oracles.max_tree_height(kind, cells)
-                bound = 2 * (r + mt) + 2 if kind == GridKind.SQUARE else r + mt + 1
+                bound = oracles.round_bound(kind, r, mt)
                 for sched in _three_schedules(cells, i):
                     res = run(cfg, ("elect",), sched, record=False)
                     rows.append((kind.value, i, res.reports[0].rounds_active, bound))
@@ -375,7 +401,8 @@ def test_criterion_2_round_bounds(batch):
             make_config("triangular", walk), ("elect",), Schedule(POLICY_ROUND_ROBIN),
             record=False,
         )
-        rows.append(("triangular", "worked", res.reports[0].rounds_active, r + mt + 1))
+        bound = oracles.round_bound("triangular", r, mt)
+        rows.append(("triangular", "worked", res.reports[0].rounds_active, bound))
         bad = [row for row in rows if row[2] > row[3]]
         assert not bad, f"round bound exceeded: {bad[:5]}"
         ok = True

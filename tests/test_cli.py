@@ -141,52 +141,52 @@ BLOB_SEEDS = (0, 1, 7, 42)
 GOLDEN_BLOBS = {
     ("square", False): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "b7c5642c4d849d35a6cee7fef624601ab41b7d36919fe86a63adeb5a7efc8518",
-        30: "d8b43e0117f2022b54ef33b24892e12bb4bc9408bacab750cf345e2881c448f3",
-        200: "91eec1aa9887209c922f933f65aabcd7bd7630ed879fcc790c3c50461948bc01",
-        1600: "cc30fccb2a30a5b844b98b454ecf82f24bb96ea92bef502f12c5f11a749e6de8",
+        2: "9f6b81332f334ac97b7b6a0258cfd0c13d8a0c2ea1094ad0b09e3d6a1a1e90e8",
+        30: "47eaf91c54a1ea84aedd5bdd8b2348bffb5a5e17d0cdda4f80557e847f40d15b",
+        200: "44755d294cafe91d0d5869dca61e6a344893356bd1b5e688b2179d02c1b95fca",
+        1600: "ba791695dda59946a288fd5d70ea3db09d14a0db0fbac976c7b8e7b19644de98",
     },
     ("square", True): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "b7c5642c4d849d35a6cee7fef624601ab41b7d36919fe86a63adeb5a7efc8518",
-        30: "a12d91d66317e2b44020c9cf2e7c0fafb9f544df92fc3aeb73f42d363ccda734",
-        200: "72dab91ebefb5c92064ed28f56ced50a4fd2f241c8fd30aace21c0faf2eecc7f",
-        1600: "744562d80ea8d5c1e42fcdb97b67e2949e9d1af94a9ef42e3be32d2c98705eb0",
+        2: "9f6b81332f334ac97b7b6a0258cfd0c13d8a0c2ea1094ad0b09e3d6a1a1e90e8",
+        30: "d1ede509087c3f42df6aef869b9a1a5432c68d21a007a946c5e65e14d3c15a62",
+        200: "a8f6f8bf2bf4a5a6141414532609eb8342ae00478eaeb17ae32973505455da3b",
+        1600: "30693aaed635ef1d855b68e3946da46b4338e2c4f7b88bc1a47d8931a577f764",
     },
     ("triangular", False): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "3de520bf21221ae58392f881b2c34f412ba47e2aa93d7027795b00027235bed2",
-        30: "84d4899f28be5b799f51342d0a99a327890759dfdfb9e34799bfcf361cd55e86",
-        200: "4b47ba5ba14b2cfc954e1914801448e3e8120f12ab1948caa2870f5d42f5ddc3",
-        1600: "329bbe8774effbe725150a5a5547f6220abff49c9bf40f3ef26854c4ce7167ad",
+        2: "24ba8f90a1080679507d3f69336223fbccd4a64b21ecfa0d30477face1409b17",
+        30: "fb8e8412e1e0c5e522927c973d48798c3a3897b0a1010feab8af1c5c84720542",
+        200: "90facb0ae28fdd064d2325b4ccdf3d7928aad02af4a7958184492282088c9389",
+        1600: "0ced59af3ef41cff5540f24ac76336a872ee41988f654dc698143a2cccecd35b",
     },
     ("triangular", True): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "3de520bf21221ae58392f881b2c34f412ba47e2aa93d7027795b00027235bed2",
-        30: "f409674bfacedcf9043f39c68d701d128b97e74b1bfe4f37e43991b1bde30b06",
-        200: "94196817e48d5ab3f1af9d723923b139a048da30cde30089a9ef146ff3487ce2",
-        1600: "29cbd79e39c11d1d1db432e9f50eddedc766149c0f945ebea9aee6bc770e0cc3",
+        2: "24ba8f90a1080679507d3f69336223fbccd4a64b21ecfa0d30477face1409b17",
+        30: "d8149b7eae01acafd343739dcefbf6af703a41b3393c73bd0e432363bb9b00f4",
+        200: "4c8f11d77164b631c5d4f66b1b17698a48103451bfb76cef9d02b5f7604e0c5d",
+        1600: "e992b6cd548f9abb5349cb33a1ce1933388c0692aa9a678bdeed02201cb2f1b6",
     },
     ("king", False): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "10b3e8af78ce5a6b2796b2814ef202f525989d2e6f93a5d10ab56eaef39e0d0e",
-        30: "6f226d4ebbdcfaad5635f43c3cafdcda9644451a6a95532a4dbba180459f0317",
-        200: "7996df7ad973e05685854f5055680bd1a8e219752551a2de2178b47484bfca70",
-        1600: "8334c2cde92dd4f4b9f3dec36c1d7c0870b0eabf28bb5c6c5e39b24d51631740",
+        2: "0427e9081ec411bdd1ac37f719358e1bcc74d6c3be802bf63deb24fd78934b18",
+        30: "47efc78971ace1751637abab026c6efd227aea5665ecd5626e84c5edf825bef7",
+        200: "d4ec9618fa2583410acdabfd1b93eab3a1184f688ba18c35343722a50688a2b3",
+        1600: "1f33708203b184285f5b4b0ef045b2b47c673daac186032ec3ca3d14a6263b64",
     },
     ("king", True): {
         1: "b5fa79e63e93998bdd7de4343a8d7f461a7e23ef367029a2d38dbca03f617d40",
-        2: "10b3e8af78ce5a6b2796b2814ef202f525989d2e6f93a5d10ab56eaef39e0d0e",
-        30: "0992b12c5af0372d3f2b8690755f8ff4ebbe5c45eb8a1893b908c272ad343367",
-        200: "a7441c9cc2d1a49a17266a65d281e0ed43523ea3b20ba01f068b6a460b1a6709",
-        1600: "473b298f27f6ad86c62f85895544b6d9d21c051ec93eacf04eba0106c1c70051",
+        2: "0427e9081ec411bdd1ac37f719358e1bcc74d6c3be802bf63deb24fd78934b18",
+        30: "a6ae8db94188bf28e10a998ad2ad54f61418f1f31f1012c314bbec8f105d1122",
+        200: "76bfe129e6dadabaee5ddbf4280703c99cfc884fdcf8ccef94b9e1d1b04ef40d",
+        1600: "3bef76441d75dc5b602e0c619428036046adc738bbb26fe24c4db5234b624208",
     },
 }
 
 GOLDEN_CONFIG_TEXT = {
-    "square": "2e203a8a7948a79ffffaa48b817a95d09fea7445c46735a06218c6cac753a95f",
-    "triangular": "72c5c64467e8a3f2f6467bf8151ad22d18a67852ffadadd28f36353b5112f4a8",
-    "king": "30ac315dbbfe6bf8d3f3b4d57106b9fd3eb2bc7ef6ad78788290bef601bc4663",
+    "square": "fffe8b81c49b14b5fcabfaba147304965303d552e72b515a70225ef25daa19cb",
+    "triangular": "1c26225273990c0682ae20aa3979cbe62d94408a4e0e0fb2c3f9207319726860",
+    "king": "be958abe2b6d94649a7b0e475a1a5ff0d5b2b564534b739dfd08733d92443a4c",
 }
 
 
@@ -214,7 +214,8 @@ def test_generate_shape_config_text_golden(kind):
 
 
 def _reference_gen_blob(kind, n, rng, allow_holes):
-    """gen_blob's draws made by rng.choice, on pair cells."""
+    """gen_blob's frontier growth with draws made by rng.randrange, on
+    pair cells."""
     dirs = directions(kind)
     table = removal_table(kind)
     window = [(bit, di, dj) for bit, (di, dj) in slot_cells(kind, (0, 0))]
@@ -226,25 +227,31 @@ def _reference_gen_blob(kind, n, rng, allow_holes):
                 mask |= bit
         return table[mask]
 
+    def swap_pop(r):
+        front[r] = front[-1]
+        front.pop()
+
     occ = {(0, 0)}
-    cells = [(0, 0)]
+    front = list(dirs)
     while len(occ) < n:
-        i, j = rng.choice(cells)
-        di, dj = rng.choice(dirs)
-        q = (i + di, j + dj)
-        if q in occ or not (allow_holes or addable(q)):
-            continue
-        occ.add(q)
-        cells.append(q)
+        r = rng.randrange(len(front))
+        q = front[r]
+        if q in occ:
+            swap_pop(r)
+        elif allow_holes or addable(q):
+            occ.add(q)
+            swap_pop(r)
+            steps = [(q[0] + di, q[1] + dj) for di, dj in dirs]
+            front += [c for c in steps if c not in occ]
     return occ
 
 
 @pytest.mark.parametrize("allow_holes", [False, True])
 @pytest.mark.parametrize("kind", list(GridKind))
-def test_generator_draws_are_choice_and_randrange_draws(kind, allow_holes):
-    # gen_blob and random_offsets inline random.choice's and
-    # random.randrange's draws; a Python release that changes choice,
-    # randrange or _randbelow breaks this test first
+def test_generator_draws_are_randrange_draws(kind, allow_holes):
+    # gen_blob and random_offsets inline random.randrange's draws; a
+    # Python release that changes randrange or _randbelow breaks this
+    # test first
     d = degree(kind)
     for n in (1, 2, 3, 30, 200, 1600):
         for seed in (0, 1, 7, 2**31 - 1):
@@ -272,6 +279,87 @@ def test_growth_always_has_an_addable_cell(kind):
         mask = sum(bit for a, bit in enumerate(behind) if bits >> a & 1)
         if mask & back:
             assert table[mask], (kind, bin(mask))
+
+
+def _growth_law(kind, n):
+    """The exact law of gen_blob's fixed shapes of n cells, from the
+    oracles alone.  From S a free cell q is drawn with weight the number
+    of (c in S, direction) pairs that land on q, among the q at which
+    Definition 1 holds in S + {q} and whose window cells in S have no
+    hole.  Shapes are translated so that their least i and least j are 0.
+    """
+    name = oracles.kind_name(kind)
+    corners = oracles.CORNERS if name == "square" else []
+
+    def fixed(s):
+        mi = min(i for i, _ in s)
+        mj = min(j for _, j in s)
+        return frozenset((i - mi, j - mj) for i, j in s)
+
+    law = {frozenset({(0, 0)}): 1.0}
+    for _ in range(n - 1):
+        grown = {}
+        for s, prob in law.items():
+            weights = {}
+            for c in s:
+                for q in oracles.neighborhood(name, c):
+                    if q not in s:
+                        weights[q] = weights.get(q, 0) + 1
+            ok = {}
+            for q, weight in weights.items():
+                window = oracles.neighborhood(name, q) + [
+                    (q[0] + di, q[1] + dj) for di, dj in corners
+                ]
+                rest = {c for c in window if c in s}
+                if oracles.def1_contractible(name, s | {q}, q) and not oracles.grid_holes(
+                    name, rest
+                ):
+                    ok[q] = weight
+            total = sum(ok.values())
+            for q, weight in ok.items():
+                t = fixed(s | {q})
+                grown[t] = grown.get(t, 0.0) + prob * weight / total
+        law = grown
+    return law, fixed
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_gen_blob_follows_the_growth_law(kind):
+    # Eden growth restricted to addable cells: the next cell is uniform
+    # over the (grown cell, direction) pairs whose target is free and
+    # addable.  A frontier that held each free cell once would skew the
+    # law; a chi-square over 6,000 fixed shapes of 4 cells reads it.
+    law, fixed = _growth_law(kind, 4)
+    seeds = 6000
+    counts = dict.fromkeys(law, 0)
+    for seed in range(seeds):
+        shape = fixed(gen_blob(kind, 4, random.Random(seed)))
+        assert shape in law, sorted(shape)
+        counts[shape] += 1
+    chi2 = sum((counts[s] - seeds * p) ** 2 / (seeds * p) for s, p in law.items())
+    dof = len(law) - 1
+    z = (chi2 - dof) / (2 * dof) ** 0.5
+    assert z < 5, (kind, len(law), chi2)
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("kind", list(GridKind))
+def test_gen_blob_draws_few_bits_per_cell(kind):
+    # drawing from the frontier of free slots costs a few draws per grown
+    # cell; drawing a grown cell and a direction until they hit a free,
+    # addable target cost 34-53 here, most of them on interior cells
+    n = 1600
+    for seed in range(4):
+        rng = _CountingRandom(seed)
+        gen_blob(kind, n, rng)
+        assert rng.calls <= 8 * (n - 1), (kind, seed, rng.calls / (n - 1))
 
 
 # The blob generator's postconditions, checked against the oracles.

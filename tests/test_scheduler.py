@@ -287,14 +287,14 @@ GOLDEN = {
         "ef41506e3dabe34fae8a5c51be1d47e0c566abbcb8f0fd481ae0f5cd08992521",
     ),
     ("square", "blob30"): (
-        "f5aa9c1b5ee163373459513a397a985934abc1df59f56431d5efcc668ca85303",
-        "c345176c9996f32df43494b62c116354323c7b20e69b52c129dae2fa1f2f64f1",
-        "347c4600afd4fc4aea6430984a65a627abdb39962ea47411312988c0a7d120f3",
+        "c672cdd35214d40e004a379f2df1f96d2dd3e2ec766515c58b12e976c9797f10",
+        "39789241d082520272bbdd63fddf2d743d89564bb9894d5e8d02aa973de3316b",
+        "88206c4b93a4404bac51ecb1cef658849156799cc22a96efa3f95cd5e75703bc",
     ),
     ("square", "blob60"): (
-        "91b70c49877ae26f937177530e25e79650c912a67b053a6dd112baf2bcd10a4a",
-        "7653c5cb6a9d8925a491ba9c58f9e906d654992900d22c03602911326d0b27d4",
-        "ace6f0967913b29eba83f852cadc11cd8d3777c2e284dc23b1964414d039dee1",
+        "c5e2ffe1d50f25d395bf34b11a2da6a0a86af599f6574b5494024d555975beed",
+        "c44d5a6eebfbb66aef1be5b59d8d7cd245954e3da3e1e70ecf4795bb3aa5d21b",
+        "930d86c8836715873bfb3104147dce9bf5070631180ba1d89c83b9137cb05abc",
     ),
     ("triangular", "rect5x4"): (
         "1e3ebdaa1bc66504bb979be645e25976c3e384c5f15780608d6c6b00bdb18c6f",
@@ -302,14 +302,14 @@ GOLDEN = {
         "af2b97d7067ed7475b06ab8571dde341ef7312f17a77464c5a7d9bbd44e93a52",
     ),
     ("triangular", "blob30"): (
-        "ae8e294f7641027eb4a44e9085cf8f7fd306bc1a045487764c9594099938acfa",
-        "30898bf56500156d70a04a984342d02ed7e5e6e66ee9872ed51f4fbf555a91bb",
-        "90ae0bdb7acd7da8845d822176b93a64a0550716f027cbaedde7fe11f7506d14",
+        "1789a39fc9d944aba74ce7b7bdf3f1e2a31573400553e645aad38bbf3f66f974",
+        "35dee4f8194e6d05c364762c096bb98142f92c8bbfaddf84d216274865e8a219",
+        "93ac277fc7c17bab766d4aa0336417ea22089a661d80244f0472b776a0056462",
     ),
     ("triangular", "blob60"): (
-        "044e71641fcaa13e4888b3571662955068f7a7b60998b7817e9fd14ee78cfb2e",
-        "c6224db6058a0407042fb0b06bda13ff35e46bdf968f1de7be3baa970e0ef218",
-        "81006c2dcc10b918477e4b398ec2c657328c9ffec24242708efa50e1feb98468",
+        "b0200b3751a9d3583a16d18bf7fba303c7d9238710c54eb43a565c615342b1b8",
+        "5a2e145631c3fa951173d8be4065569d8762a8cc4035e7bfd91b8e77c2f08606",
+        "8292120d2bcf0e4ba30dee88ee344efa1c0d7b24d92adcc76324dd44ee62f43e",
     ),
     ("king", "rect5x4"): (
         "e4557c3b272ecf2bb3f39c7f714a76116ceae9ded7458b65b3551e99c9706b81",
@@ -317,14 +317,14 @@ GOLDEN = {
         "d2f40a7da02f116b7f9f8c8ef392098fc9170384781ca7e3424edc5fd8f3cbc7",
     ),
     ("king", "blob30"): (
-        "300a4f01c1c3463a943e1cb1a26de8288adc7a6bc74e96a3024a5799461384b9",
-        "dc59d03c249fac5c6872c6c3fe8acd69e0554e33f3db8f5660b9a27a3e816f74",
-        "e8150b58e0e9144f4eebda410c3916dd286d9edc5e4f9ac4229ec6ff2b515c0d",
+        "b61c2ea5fa566e0617221f12271b244a41f276d1ae67f5dbb009b99ff3f99c72",
+        "5828e002b43fa5c40d5f5691bc237b46381b1a27ac188c82614488a75d97450a",
+        "f0162882276901913243ff0146018ff5444741dc0ee69f1b93985f1d6bd2cb26",
     ),
     ("king", "blob60"): (
-        "1350ba9a23ae71b6ef36689d6da5d9631e2e6825f85a8322944412502add2b8c",
-        "333adf4196dff1c82fde9b301c9a83c262ffbe98bb26787209198b3682a41dfd",
-        "2fcf02db5be16f9f76999d77b8a1c096a2bc5ea0f761b57ab13a3897457fc623",
+        "4146810b4772073df17de4854a01c0e767cd1cd08474008a448f794e93333b92",
+        "6acbf1db1da8b3dc61fdc135a57f0e3fe3033d2a76d5f3fbb4578ffe58f07473",
+        "ff1c213171ee26e4dc700154c9357416d24ffe500fd5cead2a4393ad29d0e2df",
     ),
 }
 
@@ -359,21 +359,21 @@ def test_golden_trace_digests(kind, shape):
 # a change to the engine or the steps did the same work.
 WORK = {
     "square": {
-        "elect": (922, 660, 56, 74, 0, 0),
-        "tree": (1004, 1004, 102, 120, 1014, 642),
-        "renumber": (660, 660, 100, 118, 642, 642),
-        "ids": (660, 660, 100, 118, 642, 642),
+        "elect": (896, 660, 54, 72, 0, 0),
+        "tree": (982, 982, 118, 136, 978, 642),
+        "renumber": (660, 660, 114, 132, 642, 642),
+        "ids": (660, 660, 114, 132, 642, 642),
     },
     "triangular": {
-        "elect": (838, 660, 48, 66, 0, 0),
-        "tree": (1210, 1210, 98, 116, 1416, 642),
-        "renumber": (660, 660, 96, 114, 642, 642),
-        "ids": (660, 660, 98, 116, 642, 642),
+        "elect": (794, 660, 42, 60, 0, 0),
+        "tree": (1234, 1234, 104, 122, 1470, 642),
+        "renumber": (660, 660, 98, 116, 642, 642),
+        "ids": (660, 660, 100, 118, 642, 642),
     },
     "king": {
-        "elect": (824, 660, 54, 72, 0, 0),
-        "tree": (1216, 1216, 82, 100, 1806, 642),
-        "renumber": (660, 660, 78, 96, 642, 642),
+        "elect": (828, 660, 54, 72, 0, 0),
+        "tree": (1250, 1250, 84, 102, 1818, 642),
+        "renumber": (660, 660, 76, 94, 642, 642),
         "ids": (660, 660, 78, 96, 642, 642),
     },
 }

@@ -321,7 +321,7 @@ class IdsProtocol:
         return f"id={new.local_id}"
 
 
-def make_protocol(name: str, config: ParticleConfig, k: int = 1):
+def make_protocol(name: str, config: ParticleConfig, k: int):
     if name == ELECT:
         return ElectProtocol(config)
     if name == TREE:

@@ -107,11 +107,9 @@ def key_width(cells: Iterable[Coord]) -> int:
 
 
 def _is_connected(kind: GridKind, cells: frozenset[Coord] | set[Coord]) -> bool:
-    """A search over the int keys of the cells (`key_width`).  It pops
-    the keys it reaches from a set of them: memory O(len(cells)) however
-    far apart the cells lie."""
-    if not cells:
-        return False
+    """A search over the int keys of the cells (`key_width`), never
+    empty.  It pops the keys it reaches from a set of them: memory
+    O(len(cells)) however far apart the cells lie."""
     w = key_width(cells)
     todo = {i * w + j for i, j in cells}
     offsets = [di * w + dj for di, dj in directions(kind)]

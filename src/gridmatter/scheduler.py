@@ -70,15 +70,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    round: int
-    coord: Coord
-    algorithm: str
-    transition: str  # "-" for a no-op activation
-    messages: int
-
-
-@dataclass(frozen=True)
 class TraceRound:
     """One recorded round; its number is its position in `log`, from 1.
     `order` is None for a shuffled round, whose order `RunTrace.orders()`
@@ -92,15 +83,9 @@ class TraceRound:
     changes: dict[int, tuple[str, int]]
 
 
-_NO_CHANGE = ("-", 0)
-
-
 class TraceEvents:
-    """A read-only view of a trace's activations, one `TraceEvent` each.
-
-    Events are built only as they are read: `len()` allocates none and
-    iteration holds one at a time.
-    """
+    """The count of a trace's recorded activations, as `len()`: all of
+    them on a recorded run, none on an unrecorded one."""
 
     __slots__ = ("_trace",)
 
@@ -108,24 +93,16 @@ class TraceEvents:
         self._trace = trace
 
     def __len__(self) -> int:
-        n = len(self._trace.particles)
-        return sum(n if r.order is None else len(r.order) for r in self._trace.log)
-
-    def __iter__(self):
-        trace = self._trace
-        for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1):
-            get = r.changes.get
-            for pos, p in enumerate(order):
-                yield TraceEvent(number, p, r.algorithm, *get(pos, _NO_CHANGE))
+        return self._trace.activations if self._trace.log else 0
 
 
 @dataclass
 class RunTrace:
     """A run's totals and, when recorded, its rounds, whose equal
-    `(transition, messages)` entries share one object; `events` and
-    `to_text()` expand the rounds on each call, in memory proportional
-    to what they return.  `particles` are the run's sorted particles and
-    `seed` its shuffle seed, None unless the schedule shuffles."""
+    `(transition, messages)` entries share one object; `to_text()`
+    expands them on each call, in memory proportional to its output.
+    `particles` are the run's sorted particles and `seed` its shuffle
+    seed, None unless the schedule shuffles."""
 
     log: list[TraceRound] = field(default_factory=list)
     rounds: int = 0

@@ -100,9 +100,11 @@ def test_election_walkthrough_round_by_round():
     res = run(cfg, ("elect",), sched)
 
     by_round = {}
-    for e in res.trace.events:
-        if e.transition != "-":
-            by_round.setdefault(e.round, set()).add((e.coord, e.transition))
+    trace = res.trace
+    for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1):
+        for pos, (transition, _) in r.changes.items():
+            if transition != "-":
+                by_round.setdefault(number, set()).add((order[pos], transition))
     assert by_round[1] == {(p, "C->N") for p in WALK_RETIRED[1]}
     assert by_round[2] == {(p, "C->N") for p in WALK_RETIRED[2]}
     assert by_round[3] == (
@@ -135,14 +137,15 @@ def test_election_transitions_preserve_candidate_invariants(kind):
     cfg = make_config(kind, hole_free_blob(kind, 24, len(kind.value)))
     res = run(cfg, ("elect",), Schedule(POLICY_RANDOM, seed=5))
     cset = set(cfg.particles())
-    for e in res.trace.events:
-        if e.transition == "-" or e.algorithm != "elect":
-            continue
-        if e.transition == "C->N":
-            assert oracles.def1_contractible(cfg.kind, cset, e.coord)
-            cset.discard(e.coord)
-            assert oracles.connected(cfg.kind, cset)
-            assert not oracles.grid_holes(cfg.kind, cset)
+    for r, order in zip(res.trace.log, res.trace.orders()):
+        assert r.algorithm == "elect"
+        for pos, (transition, _) in r.changes.items():
+            if transition == "C->N":
+                p = order[pos]
+                assert oracles.def1_contractible(cfg.kind, cset, p)
+                cset.discard(p)
+                assert oracles.connected(cfg.kind, cset)
+                assert not oracles.grid_holes(cfg.kind, cset)
     assert cset == {leader_of(res.states)}
 
 
@@ -309,8 +312,15 @@ def test_tree_helpers_reject_disconnected_pointers():
         states[parent],
         child_ports=tuple(a for a in states[parent].child_ports if a != back),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         tree_height(cfg.kind, states)
+    assert str(err.value) == "tree does not span the system"
+    # with no leader there is no root to count levels from
+    root = leader_of(states)
+    states[root] = replace(states[root], status=STATUS_NON_CANDIDATE)
+    with pytest.raises(ValueError) as err:
+        tree_height(cfg.kind, states)
+    assert str(err.value) == "no leader"
 
 
 @pytest.mark.parametrize("kind", KINDS)

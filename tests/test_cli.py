@@ -30,6 +30,7 @@ from gridmatter import algorithms
 from gridmatter import cli as climod
 from gridmatter.algorithms import (
     PIPELINE_FULL,
+    STATUS_CANDIDATE,
     STATUS_LEADER,
     ParticleState,
     leader_of,
@@ -492,6 +493,14 @@ def test_run_report_bytes_are_reproducible(rect_cfg):
     assert a.stdout == b.stdout
 
 
+def test_run_over_its_activation_cap_exits_4(rect_cfg):
+    # the 3x3 block's first elect round alone takes 9 activations
+    proc = cli("run", str(rect_cfg), "--max-activations", "5")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == "error: activation cap 5 exceeded during elect\n"
+
+
 def test_run_invariant_failure_exits_2(rect_cfg, monkeypatch):
     monkeypatch.setattr(climod, "verify_run", lambda *a, **k: ["forced"])
     result = CliRunner().invoke(climod.cli, ["run", str(rect_cfg)])
@@ -549,6 +558,11 @@ def test_verify_run_reports_planted_violations():
     with pytest.raises(ValueError) as exc:
         leader_of(states)
     assert str(exc.value) == "multiple leaders [(0, 0), (2, 2)]"
+
+    states = dict(clean)
+    # a candidate left next to the leader: the rest of the run is clean
+    _plant(states, (2, 1), status=STATUS_CANDIDATE)
+    assert climod.verify_run(cfg, 1, states) == ["non-retired=1"]
 
     states = dict(clean)
     # a non-leader without a parent: 7 parent links for 9 particles, and

@@ -18,7 +18,6 @@ from gridmatter.scheduler import (
     AlgorithmReport,
     Schedule,
     SimulationError,
-    TraceEvent,
     _shuffled,
     run,
 )
@@ -31,8 +30,8 @@ TWO = [(0, 0), (0, 1), (1, 0), (1, 1)]
 def test_round_robin_activates_in_sorted_order():
     cfg = make_config("square", TWO)
     res = run(cfg, ("elect",), Schedule(POLICY_ROUND_ROBIN))
-    first_round = [e.coord for e in res.trace.events if e.round == 1]
-    assert first_round == sorted(TWO)
+    first_round = next(res.trace.orders())
+    assert list(first_round) == sorted(TWO)
 
 
 def test_random_policy_is_fair_and_seeded():
@@ -40,8 +39,9 @@ def test_random_policy_is_fair_and_seeded():
     a = run(cfg, ("elect",), Schedule(POLICY_RANDOM, seed=9))
     b = run(cfg, ("elect",), Schedule(POLICY_RANDOM, seed=9))
     assert a.trace.to_text() == b.trace.to_text()
-    for rnd in range(1, a.trace.rounds + 1):
-        batch = [e.coord for e in a.trace.events if e.round == rnd]
+    orders = list(a.trace.orders())
+    assert len(orders) == len(a.trace.log) == a.trace.rounds
+    for batch in orders:
         assert sorted(batch) == sorted(TWO)
         assert len(batch) == len(TWO)
 
@@ -120,10 +120,9 @@ def test_explicit_orders_fall_back_to_sorted_when_exhausted():
     cfg = make_config("square", TWO)
     first = tuple(sorted(TWO, reverse=True))
     res = run(cfg, ("elect",), Schedule(POLICY_EXPLICIT, orders=(first,)))
-    r1 = [e.coord for e in res.trace.events if e.round == 1]
-    r2 = [e.coord for e in res.trace.events if e.round == 2]
-    assert r1 == list(first)
-    assert r2 == sorted(TWO)
+    r1, r2 = list(res.trace.orders())[:2]
+    assert list(r1) == list(first)
+    assert list(r2) == sorted(TWO)
 
 
 def test_a_send_toward_an_empty_cell_raises(monkeypatch):
@@ -173,6 +172,16 @@ def test_a_never_quiescing_phase_hits_the_default_cap(monkeypatch, cells, cap):
     assert str(err.value) == f"activation cap {cap} exceeded during elect"
 
 
+def test_an_unknown_algorithm_is_refused():
+    cfg = make_config("square", TWO)
+    with pytest.raises(ValueError) as err:
+        run(cfg, ("elekt",), Schedule())
+    assert str(err.value) == "unknown algorithm 'elekt'"
+    with pytest.raises(ValueError) as err:
+        algorithms.read_offsets("elekt", cfg.kind)
+    assert str(err.value) == "unknown algorithm 'elekt'"
+
+
 @pytest.mark.parametrize("kind", list(GridKind))
 def test_a_config_without_frame_offsets_runs_at_offset_zero(kind):
     cells = gen_blob(kind, 20, random.Random(3))
@@ -186,9 +195,10 @@ def test_run_quiesces_with_a_silent_confirm_round():
     cfg = make_config("square", TWO)
     res = run(cfg, ("elect",), Schedule())
     last = res.trace.rounds
-    final_round = [e for e in res.trace.events if e.round == last]
-    assert final_round, "confirm round must still activate everyone"
-    assert all(e.transition == "-" and e.messages == 0 for e in final_round)
+    assert len(res.trace.log) == last
+    # the confirm round still activates everyone, each a no-op
+    assert sorted(list(res.trace.orders())[-1]) == sorted(TWO)
+    assert res.trace.log[-1].changes == {}
     report = res.reports[0]
     assert report.rounds_total == last
     assert report.rounds_active == last - 1
@@ -225,7 +235,7 @@ def test_message_accounting_separates_sends_from_receipts():
 def test_record_false_keeps_counters_only():
     cfg = make_config("square", TWO)
     res = run(cfg, ("elect",), Schedule(), record=False)
-    assert list(res.trace.events) == []
+    assert res.trace.log == []
     assert len(res.trace.events) == 0
     assert res.trace.rounds >= 2
     assert leader_of(res.states) in TWO
@@ -233,7 +243,7 @@ def test_record_false_keeps_counters_only():
 
 # ---------------------------------------------------------------------------
 # Golden traces: sha256 digests of to_text(), reports and final states,
-# frozen from the engine that recorded one TraceEvent per activation.  A
+# frozen from the engine that recorded one event object per activation.  A
 # change to how runs are stored or replayed must keep every byte.
 
 
@@ -333,18 +343,13 @@ GOLDEN = {
 def test_golden_trace_digests(kind, shape):
     text, reports, states = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for cfg, k, sched, res in _golden_runs(GridKind(kind), shape):
-        text.update(res.trace.to_text().encode())
+        out = res.trace.to_text()
+        assert out.count("\n") == res.trace.activations
+        text.update(out.encode())
         reports.update(_reports_text(res.reports).encode())
         states.update(_states_text(res.states).encode())
-        lines = [
-            f"{e.round}\t{e.coord[0]},{e.coord[1]}\t{e.algorithm}\t"
-            f"{e.transition}\t{e.messages}\n"
-            for e in res.trace.events
-        ]
-        assert "".join(lines) == res.trace.to_text()
-        assert len(lines) == res.trace.activations
         quiet = run(cfg, PIPELINE_FULL, sched, k=k, record=False)
-        assert list(quiet.trace.events) == []
+        assert quiet.trace.log == []
         assert quiet.trace.to_text() == ""
         assert _reports_text(quiet.reports) == _reports_text(res.reports)
         assert _states_text(quiet.states) == _states_text(res.states)
@@ -723,25 +728,8 @@ def test_run_equals_the_reference_engine_on_a_200_particle_blob(kind, policy):
 
 
 # ---------------------------------------------------------------------------
-# `events` and `to_text()` expand the log in memory proportional to what
-# they return.
-
-
-def _events_list(trace):
-    return [
-        TraceEvent(number, p, r.algorithm, *r.changes.get(pos, ("-", 0)))
-        for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1)
-        for pos, p in enumerate(order)
-    ]
-
-
-def test_events_view_equals_the_log_expanded_as_a_list():
-    for _, _, _, res in _golden_runs(GridKind.TRIANGULAR, "blob30"):
-        t = res.trace
-        expected = _events_list(t)
-        events = t.events
-        assert len(events) == t.activations == len(expected)
-        assert list(events) == expected
+# `to_text()` expands the log in memory proportional to its output, and
+# counting the activations allocates nothing per activation.
 
 
 def _square30():

@@ -30,17 +30,34 @@ def parse_config_text(text: str) -> ConfigDoc:
     seed = 0
     offsets = {}
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         fields = line.split()
-        word, args = fields[0], fields[1:]
+        if not fields:
+            continue
+        word = fields[0]
         try:
+            # most lines are particle lines, and `seen` never holds one
+            if word == "particle":
+                if kind is None:
+                    raise ValueError("grid line must come before particle lines")
+                if len(fields) == 3:
+                    i, j, w = int(fields[1]), int(fields[2]), 0
+                elif len(fields) == 4:
+                    i, j, w = int(fields[1]), int(fields[2]), int(fields[3])
+                else:
+                    raise ValueError("expected: particle i j [offset]")
+                if not 0 <= w < d:
+                    raise ValueError(f"offset {w} out of range for {kind.value}")
+                if (i, j) in offsets:
+                    raise ValueError(f"duplicate particle {i} {j}")
+                offsets[(i, j)] = w
+                continue
+            args = fields[1:]
             if word in seen:
                 raise ValueError(f"duplicate {word} line")
-            if word != "particle":
-                seen.add(word)
+            seen.add(word)
             if word == "grid":
                 if len(args) != 1:
                     raise ValueError("expected one grid kind")
@@ -54,21 +71,6 @@ def parse_config_text(text: str) -> ConfigDoc:
             elif word == "seed":
                 (seed,) = args
                 seed = int(seed)
-            elif word == "particle":
-                if kind is None:
-                    raise ValueError("grid line must come before particle lines")
-                if len(args) == 2:
-                    i, j = int(args[0]), int(args[1])
-                    w = 0
-                elif len(args) == 3:
-                    i, j, w = int(args[0]), int(args[1]), int(args[2])
-                else:
-                    raise ValueError("expected: particle i j [offset]")
-                if not 0 <= w < d:
-                    raise ValueError(f"offset {w} out of range for {kind.value}")
-                if (i, j) in offsets:
-                    raise ValueError(f"duplicate particle {i} {j}")
-                offsets[(i, j)] = w
             else:
                 raise ValueError(f"unknown directive {word!r}")
         except (ValueError, TypeError) as exc:
@@ -97,29 +99,28 @@ def serialize_config(doc: ConfigDoc) -> str:
 # Shape generators
 
 
-def gen_rect(w: int, h: int) -> set:
+def gen_rect(w: int, h: int) -> list:
     if w < 1 or h < 1:
         raise ValueError("rect sides must be positive")
-    return {(i, j) for i in range(w) for j in range(h)}
+    return [(i, j) for i in range(w) for j in range(h)]
 
 
-def gen_line(n: int) -> set:
+def gen_line(n: int) -> list:
     if n < 1:
         raise ValueError("line length must be positive")
-    return {(i, 0) for i in range(n)}
+    return [(i, 0) for i in range(n)]
 
 
-def gen_ring(outer: int, inner: int) -> set:
+def gen_ring(outer: int, inner: int) -> list:
     if inner >= outer:
         raise ValueError("ring inner size must be smaller than outer")
     if inner < 0:
         raise ValueError("ring inner size must be non-negative")
-    lo = (outer - inner) // 2
-    carved = {(i, j) for i in range(lo, lo + inner) for j in range(lo, lo + inner)}
-    return {(i, j) for i in range(outer) for j in range(outer)} - carved
+    hole = range((outer - inner) // 2, (outer - inner) // 2 + inner)
+    return [(i, j) for i in range(outer) for j in range(outer) if i not in hole or j not in hole]
 
 
-def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> set:
+def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = False) -> list:
     """Random connected growth of n cells, drawn from a frontier.
 
     `front` holds one entry per (grown cell, direction) pair whose target
@@ -152,7 +153,7 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
     The growth runs on int keys (i + b) * w + (j + b) with b = n + 2 and
     w = 2 * b, so a step (di, dj) adds di * w + dj.  Every cell grown or
     tested lies within n of the origin, so 0 < i + b, j + b < w: the
-    keys are distinct.
+    keys are distinct and sort in (i, j) order, the returned list's order.
     """
     if n < 1:
         raise ValueError("blob size must be positive")
@@ -194,7 +195,7 @@ def gen_blob(kind: GridKind, n: int, rng: random.Random, allow_holes: bool = Fal
         front[r] = front[-1]
         front.pop()
         front += [q + o for o in dirs if q + o not in occ]
-    return {(k // w - b, k % w - b) for k in occ}
+    return [(k // w - b, k % w - b) for k in sorted(occ)]
 
 
 def random_offsets(kind: GridKind, cells, rng: random.Random) -> dict:
@@ -240,6 +241,8 @@ def generate_shape(
         cells = gen_blob(kind, int(args[0]), rng, allow_holes=allow_holes)
     else:
         raise ValueError(f"unknown shape {shape!r}")
-    # the generators make int pairs, and random_offsets gives each an offset
+    # each generator returns distinct int pairs as a sorted list, so
+    # random_offsets' sort is linear; frozenset sizes its table once from
+    # a dict, but regrows it from a list, up to twice as large
     offsets = random_offsets(kind, cells, rng)
-    return ParticleConfig(kind=kind, occupied=frozenset(cells), frame_offsets=offsets)
+    return ParticleConfig(kind=kind, occupied=frozenset(offsets), frame_offsets=offsets)

@@ -536,17 +536,10 @@ def test_criterion_8_identifier_soundness():
         for kind in KINDS:
             rng = random.Random(4000 + len(kind.value))
             configs = []
-            attempts = 0
-            while len(configs) < 50 and attempts < 2000:
-                attempts += 1
+            for _ in range(50):
                 n = rng.randint(20, 80)
-                cells = sorted(gen_blob(kind, n, rng))
-                cfg = make_config(kind, cells, random_offsets(kind, cells, rng))
-                probe = run(cfg, ("elect",), Schedule(POLICY_ROUND_ROBIN), record=False)
-                if leader_of(probe.states) is None:
-                    continue  # king crowns stall; draw the next seed
-                configs.append(cfg)
-            assert len(configs) == 50, f"{kind.value}: electing sampling starved"
+                cells = gen_blob(kind, n, rng)
+                configs.append(make_config(kind, cells, random_offsets(kind, cells, rng)))
             for k in range(1, 7):
                 limit = color_count(kind, k)
                 for cfg in configs:
@@ -554,6 +547,8 @@ def test_criterion_8_identifier_soundness():
                         cfg, PIPELINE_FULL, Schedule(POLICY_ROUND_ROBIN), k=k,
                         record=False,
                     )
+                    # leader_of raises on two leaders, so this is exactly one
+                    assert leader_of(res.states) is not None, (kind.value, k, cfg.n)
                     groups = {}
                     for p, s in res.states.items():
                         assert s.local_id is not None and 0 <= s.local_id < limit

@@ -43,7 +43,9 @@ from gridmatter.scheduler import Schedule, SimulationError, run
 from gridmatter.shapes import (
     ConfigDoc,
     gen_blob,
+    gen_line,
     gen_rect,
+    gen_ring,
     generate_shape,
     parse_config_text,
     random_offsets,
@@ -258,12 +260,28 @@ def test_generator_draws_are_randrange_draws(kind, allow_holes):
         for seed in (0, 1, 7, 2**31 - 1):
             ours, ref = random.Random(seed), random.Random(seed)
             cells = gen_blob(kind, n, ours, allow_holes=allow_holes)
-            assert cells == _reference_gen_blob(kind, n, ref, allow_holes)
+            assert set(cells) == _reference_gen_blob(kind, n, ref, allow_holes)
+            assert cells == sorted(set(cells))
             assert ours.getstate() == ref.getstate()
             offsets = random_offsets(kind, cells, ours)
             assert offsets == {p: ref.randrange(d) for p in sorted(cells)}
-            assert list(offsets) == sorted(cells)
+            assert list(offsets) == cells
             assert ours.getstate() == ref.getstate()
+
+
+def test_fixed_shapes_are_sorted_lists_of_their_cells():
+    # like gen_blob, the fixed generators return their cells sorted, with
+    # no repeats, so random_offsets' sort runs in linear time
+    square = {(i, j) for i in range(5) for j in range(5)}
+    shapes = [
+        (gen_rect(3, 2), {(i, j) for i in range(3) for j in range(2)}),
+        (gen_line(4), {(0, 0), (1, 0), (2, 0), (3, 0)}),
+        (gen_ring(5, 3), square - {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}),
+        (gen_ring(5, 1), square - {(2, 2)}),
+        (gen_ring(5, 0), square),
+    ]
+    for cells, want in shapes:
+        assert cells == sorted(want)
 
 
 @pytest.mark.parametrize("kind", list(GridKind))
@@ -1027,6 +1045,36 @@ def test_parse_requires_grid_before_particles():
         parse_config_text("grid square\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_config_text("grid square\nwibble 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("particle 0 0\n", "line 1: grid line must come before particle lines"),
+        ("grid square\nparticle 1\n", "line 2: expected: particle i j [offset]"),
+        ("grid square\nparticle 1 2 3 4\n", "line 2: expected: particle i j [offset]"),
+        ("grid square\nparticle x 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("grid square\nparticle 0 0 4\n", "line 2: offset 4 out of range for square"),
+        ("grid\n", "line 1: expected one grid kind"),
+        ("grid hex\n", "line 1: 'hex' is not a valid GridKind"),
+        ("grid square\nk 0\n", "line 2: k must be >= 1"),
+        ("grid square\nk 1 2\n", "line 2: too many values to unpack (expected 1)"),
+        ("grid square\nwibble 3\n", "line 2: unknown directive 'wibble'"),
+        ("grid square\nparticle 0 0 # c\nparticle 0 0\n", "line 3: duplicate particle 0 0"),
+        ("grid square\nk 2\nk 2\n", "line 3: duplicate k line"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_config_text(text)
+    assert str(exc.value) == message
+
+
+def test_parse_takes_tabs_crlf_and_comment_only_lines():
+    text = "grid\tking\r\nparticle\t1\t2\t3 # note\r\n#x\n   \nparticle -1 0\n"
+    doc = parse_config_text(text)
+    assert doc.config.kind is GridKind.KING
+    assert doc.config.frame_offsets == {(-1, 0): 0, (1, 2): 3}
 
 
 def test_importing_the_cli_loads_no_numpy():

@@ -280,13 +280,11 @@ def verify(config_path):
 @click.option("--cols", type=int, default=8)
 def color_table(kind, k, rows, cols):
     """Print rows x cols of the distance-k coloring pattern."""
-    if k < 1 or rows < 1 or cols < 1:
-        _input_error("k, rows, cols must be >= 1")
-    try:
-        pat = pattern(GridKind(kind), k)
-    except LookupError as exc:
-        _input_error(exc)
-    click.echo(color_table_text(pat, rows, cols), nl=False)
+    kind = GridKind(kind)
+    _check_k(kind, k)
+    if rows < 1 or cols < 1:
+        _input_error("rows, cols must be >= 1")
+    click.echo(color_table_text(pattern(kind, k), rows, cols), nl=False)
 
 
 @cli.command()

@@ -16,10 +16,10 @@ the offset (1,3) collides at k=4).  The king one is the (k+1)x(k+1)
 blocks.  The triangular ones are the k=1 lattice scaled by (k+1)/2 for
 odd k and a linear (i + t*j) mod m form for even k.
 
-A pattern is held as one period of its color table, which `color_at`,
-`verify_coloring` and `color_table_text` read.  Each returned pattern is
-certified at construction time by `verify_coloring`, a brute-force scan
-of one period against every offset within distance k.
+A pattern is its basis: `color_at` computes a cell's coset from
+(p, q, s) in one line of arithmetic.  Each returned pattern is certified
+at construction time by `short_vector`: no nonzero lattice vector lies
+within distance k, checked over the few candidates per row.
 
 Since each coset has one color, a cell's color fixes the color of each
 of its neighbours; `color_steps` tabulates that, so a particle can take
@@ -29,9 +29,8 @@ its id from a neighbour's without knowing where it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from operator import eq
 from typing import Optional
 
 from .grid import Coord, GridKind, directions, distance
@@ -56,7 +55,6 @@ class ColoringPattern:
     lattice vector (s, q) moves (i, j) to row jr = j mod q, and ir is
     the column it lands on, mod p.  So there are p*q colors, and the
     pattern repeats every p along i and every q*p/gcd(s, p) along j.
-    `rows[j][i]` holds one such period; every color is read from it.
     """
 
     kind: GridKind
@@ -64,26 +62,15 @@ class ColoringPattern:
     p: int
     q: int
     s: int
-    color_count: int = field(init=False)
-    period_i: int = field(init=False)
-    period_j: int = field(init=False)
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        p, q, s = self.p, self.q, self.s
-        period_j = q * p // math.gcd(s, p)
-        put = object.__setattr__
-        put(self, "color_count", p * q)
-        put(self, "period_i", p)
-        put(self, "period_j", period_j)
-        put(self, "rows", tuple(
-            tuple((i - j // q * s) % p + p * (j % q) for i in range(p))
-            for j in range(period_j)
-        ))
+    @property
+    def color_count(self) -> int:
+        return self.p * self.q
 
 
 def color_at(pattern: ColoringPattern, i: int, j: int) -> int:
-    return pattern.rows[j % pattern.period_j][i % pattern.period_i]
+    p, q = pattern.p, pattern.q
+    return (i - j // q * pattern.s) % p + p * (j % q)
 
 
 @lru_cache(maxsize=None)
@@ -120,8 +107,8 @@ def _basis(kind: GridKind, k: int) -> tuple[int, int, int]:
     return m, 1, (3 * k // 2 + 1) % m
 
 
-# Certified construction ranges; the verification scan grows like k^4
-# beyond these, so larger k is refused rather than left to crawl.
+# The k the CLI accepts per grid: tier-1 pins every pattern up to here
+# (`GOLDEN_PATTERNS` and acceptance criterion 9), none beyond.
 SUPPORTED_K = {
     GridKind.SQUARE: 12,
     GridKind.TRIANGULAR: 8,
@@ -129,9 +116,25 @@ SUPPORTED_K = {
 }
 
 
+def short_vector(kind: GridKind, k: int, p: int, q: int, s: int) -> Optional[Coord]:
+    """The first nonzero vector a*(p, 0) + b*(s, q) within distance k, or None.
+
+    None certifies the lattice's cosets as a coloring of the k-th power:
+    two cells share a coset exactly when their difference is a lattice
+    vector.  Of v and -v only the one in rows b = 0 .. k div q is tried,
+    with i > 0 on row 0; in row b the candidates are the i in [-k, k]
+    congruent to b*s mod p.
+    """
+    for b in range(k // q + 1):
+        for i in range(-k + (b * s + k) % p, k + 1, p):
+            if (b or i > 0) and distance(kind, (0, 0), (i, b * q)) <= k:
+                return i, b * q
+    return None
+
+
 @lru_cache(maxsize=None)
 def pattern(kind: GridKind, k: int) -> ColoringPattern:
-    """The optimal pattern for (kind, k), certified by `verify_coloring`.
+    """The optimal pattern for (kind, k), certified by `short_vector`.
 
     The lattice basis (p, q, s) is closed-form, with m = color_count:
     - square: (m, 1, -t mod m), t = k for odd k and k+1 for even k,
@@ -140,53 +143,15 @@ def pattern(kind: GridKind, k: int) -> ColoringPattern:
     - triangular, odd k: (3h, h, h) with h = (k+1)/2, the k=1 lattice
       scaled by h;
     - triangular, even k: (m, 1, (3k/2 + 1) mod m).
-    A pattern that fails the scan is refused with LookupError.
+    A basis with a short vector is refused with LookupError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     kind = GridKind(kind)
-    if k > SUPPORTED_K[kind]:
-        raise LookupError(
-            f"no certified pattern for {kind.value} k={k} "
-            f"(supported up to {SUPPORTED_K[kind]})"
-        )
     cand = ColoringPattern(kind, k, *_basis(kind, k))
-    if verify_coloring(cand) is not None:
+    if short_vector(kind, k, cand.p, cand.q, cand.s) is not None:
         raise LookupError(f"no oracle-valid optimal pattern for {kind.value} k={k}")
     return cand
-
-
-def verify_coloring(
-    p: ColoringPattern,
-) -> Optional[tuple[tuple[Coord, Coord], int]]:
-    """Brute-force validity scan of one period against every offset.
-
-    Returns None when no cell (x, y) of one period shares its color with
-    a distinct cell (x + di, y + dj) at distance <= k, which by
-    periodicity covers every pair; otherwise one offending pair and its
-    color: the first found scanning offsets (di, dj) in lexicographic
-    order, then cells (x, y) in lexicographic order.  This is the oracle
-    every constructed pattern must pass.
-    """
-    k, pi, pj = p.k, p.period_i, p.period_j
-    # column x twice over, so (x, y + dj) for 0 <= y < pj is the slice
-    # from dj mod pj; map and zip stop at that slice's end
-    cols = [[row[x] for row in p.rows] * 2 for x in range(pi)]
-    for di in range(0, k + 1):
-        for dj in range(-k, k + 1):
-            if di == 0 and dj <= 0:
-                continue
-            if distance(p.kind, (0, 0), (di, dj)) > k:
-                continue
-            lo = dj % pj
-            for x in range(pi):
-                a = cols[x]
-                b = cols[(x + di) % pi][lo:lo + pj]
-                if not any(map(eq, a, b)):
-                    continue
-                y = next(y for y, (c1, c2) in enumerate(zip(a, b)) if c1 == c2)
-                return ((x, y), (x + di, y + dj)), a[y]
-    return None
 
 
 def color_table_text(p: ColoringPattern, rows: int, cols: int) -> str:

@@ -12,6 +12,7 @@ plain-set BFS for connectivity, complement flooding for holes, and the
 extended-neighborhood contractibility predicate from the oracle module.
 """
 
+import math
 import random
 import time
 from collections import deque
@@ -38,7 +39,7 @@ from gridmatter.coloring import (
     color_count,
     color_table_text,
     pattern,
-    verify_coloring,
+    short_vector,
 )
 from gridmatter.grid import GridKind, degree
 from gridmatter.particles import (
@@ -600,23 +601,30 @@ def test_criterion_9_coloring_optimality():
                 m = color_count(kind, k)
                 assert m == chi(kind, k)
                 assert pat.color_count == m
-                assert verify_coloring(pat) is None, (kind.value, k)
-                used = {
-                    color_at(pat, i, j)
-                    for i in range(pat.period_i)
-                    for j in range(pat.period_j)
-                }
-                assert len(used) == m, (kind.value, k)
+                # a proof from the oracles alone: the basis is spread, the
+                # colors of one period are constant along both basis
+                # vectors, and the p*q coset representatives get p*q
+                # distinct colors, so the pattern is the lattice's coset
+                # coloring
+                p, q, s = pat.p, pat.q, pat.s
+                assert oracles.lattice_spread(kind, p, q, s, k), (kind.value, k)
+                used = set()
+                for i in range(p):
+                    for j in range(q * p // math.gcd(s, p)):
+                        c = color_at(pat, i, j)
+                        assert color_at(pat, i + p, j) == c == color_at(pat, i + s, j + q)
+                        used.add(c)
+                reps = {color_at(pat, i, j) for i in range(p) for j in range(q)}
+                assert len(reps) == len(used) == m, (kind.value, k)
                 # m cells pairwise within k: no coloring uses fewer colors
                 assert oracles.clique_lower_bound(kind, k) == m, (kind.value, k)
 
         # the uncorrected square k=4 multiplier, (i + 4j) mod 13, collides
         # at offset (1,3)
+        assert short_vector(GridKind.SQUARE, 4, 13, 1, 9) == (1, 3)
+        assert not oracles.lattice_spread(GridKind.SQUARE, 13, 1, 9, 4)
         bad = ColoringPattern(GridKind.SQUARE, 4, p=13, q=1, s=9)
-        hit = verify_coloring(bad)
-        assert hit is not None
-        (c1, c2), _ = hit
-        assert (c2[0] - c1[0], c2[1] - c1[1]) == (1, 3)
+        assert color_at(bad, 0, 0) == color_at(bad, 1, 3)
 
         assert color_table_text(pattern(GridKind.SQUARE, 3), 4, 8) == (
             "0 1 2 3 4 5 6 7\n"

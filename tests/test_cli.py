@@ -864,7 +864,7 @@ def test_color_table_king_k2_blocks():
         (("generate", "ring", "2", "5"), "smaller than outer"),
         (("generate",), "missing shape"),
         (("frobnicate",), "No such command"),
-        (("color-table", "square", "99"), "supported up to 12"),
+        (("color-table", "square", "99"), "certified range"),
         (("color-table", "square", "0"), ">= 1"),
         (("generate", "--k", "0", "rect", "2x2"), "k must be >= 1"),
         (("generate", "--k", "99", "rect", "2x2"), "certified range"),
@@ -874,6 +874,16 @@ def test_input_errors_exit_4(args, needle, tmp_path):
     proc = cli(*args, cwd=str(tmp_path))
     assert proc.returncode == 4
     assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("kind, top", [("triangular", 8), ("square", 12)])
+def test_color_table_k_range_boundary(kind, top):
+    assert cli("color-table", kind, str(top)).returncode == 0
+    proc = cli("color-table", kind, str(top + 1))
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        f"error: k={top + 1} exceeds the certified range for {kind} (max {top})\n"
+    )
 
 
 def test_unwritable_output_paths_exit_4(rect_cfg, tmp_path):

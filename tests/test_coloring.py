@@ -11,7 +11,7 @@ from gridmatter.coloring import (
     color_count,
     color_table_text,
     pattern,
-    verify_coloring,
+    short_vector,
 )
 from gridmatter.grid import GridKind
 
@@ -25,6 +25,11 @@ RANGES = {
     GridKind.TRIANGULAR: range(1, 9),
     GridKind.KING: range(1, 13),
 }
+
+
+def periods(pat):
+    """The pattern's periods along i and j, from its basis."""
+    return pat.p, pat.q * pat.p // math.gcd(pat.s, pat.p)
 
 
 def test_color_count_formulas():
@@ -44,13 +49,9 @@ def test_patterns_are_valid_and_optimal(kind):
     for k in RANGES[kind]:
         p = pattern(kind, k)
         assert p.color_count == color_count(kind, k)
-        used = {
-            color_at(p, i, j)
-            for i in range(p.period_i)
-            for j in range(p.period_j)
-        }
+        pi, pj = periods(p)
+        used = {color_at(p, i, j) for i in range(pi) for j in range(pj)}
         assert used == set(range(p.color_count))
-        assert verify_coloring(p) is None
         assert color_at(p, 0, 0) == 0
 
 
@@ -92,7 +93,7 @@ def test_king_blocks_closed_form():
 def test_small_patterns_against_brute_oracle(kind):
     for k in (1, 2):
         p = pattern(kind, k)
-        span = max(p.period_i, p.period_j) + k + 1
+        span = max(periods(p)) + k + 1
         assert oracles.coloring_valid(lambda i, j: color_at(p, i, j), kind, k, span=min(span, 11))
 
 
@@ -105,18 +106,31 @@ def test_every_pattern_is_a_spread_lattice_coloring(kind):
         pat = pattern(kind, k)
         p, q, s = pat.p, pat.q, pat.s
         assert oracles.lattice_spread(kind, p, q, s, k), k
-        for i in range(pat.period_i):
-            for j in range(pat.period_j):
+        pi, pj = periods(pat)
+        for i in range(pi):
+            for j in range(pj):
                 c = color_at(pat, i, j)
                 assert color_at(pat, i + p, j) == c == color_at(pat, i + s, j + q)
         reps = {color_at(pat, i, j) for i in range(p) for j in range(q)}
         assert len(reps) == p * q == pat.color_count
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_short_vector_agrees_with_lattice_spread(kind):
+    # every basis with p*q <= 24 and 0 <= s < p, refused ones included
+    refused = 0
+    for k in (1, 2, 3):
+        for p in range(1, 25):
+            for q in range(1, 24 // p + 1):
+                for s in range(p):
+                    spread = oracles.lattice_spread(kind, p, q, s, k)
+                    assert (short_vector(kind, k, p, q, s) is None) == spread, (k, p, q, s)
+                    refused += not spread
+    assert refused > 0
+
+
 def test_pattern_refuses_a_basis_that_fails_the_scan(monkeypatch):
-    monkeypatch.setattr(
-        coloring, "verify_coloring", lambda p: (((0, 0), (1, 0)), 0)
-    )
+    monkeypatch.setattr(coloring, "short_vector", lambda *basis: (1, 0))
     with pytest.raises(LookupError, match="no oracle-valid"):
         pattern.__wrapped__(GridKind.SQUARE, 2)
 
@@ -125,12 +139,10 @@ def test_square_k4_linear_t4_has_the_known_collision():
     # the t=k multiplier family breaks down at k=4: colors repeat at
     # displacement (1,3), which is distance 4; s = -4 mod 13 makes the
     # lattice's cosets (i + 4j) mod 13
+    assert short_vector(GridKind.SQUARE, 4, 13, 1, 9) == (1, 3)
+    assert not oracles.lattice_spread(GridKind.SQUARE, 13, 1, 9, 4)
     bad = ColoringPattern(GridKind.SQUARE, 4, p=13, q=1, s=9)
-    hit = verify_coloring(bad)
-    assert hit is not None
-    (c1, c2), color = hit
-    assert (c2[0] - c1[0], c2[1] - c1[1]) == (1, 3)
-    assert color_at(bad, *c1) == color_at(bad, *c2) == color
+    assert color_at(bad, 0, 0) == color_at(bad, 1, 3)
 
 
 def test_color_table_text_square_k3():
@@ -175,8 +187,9 @@ def test_color_steps_match_color_at():
             pat = pattern(kind, k)
             steps = coloring.color_steps(kind, k)
             assert len(steps) == pat.color_count
-            for i in range(pat.period_i):
-                for j in range(pat.period_j):
+            pi, pj = periods(pat)
+            for i in range(pi):
+                for j in range(pj):
                     row = steps[color_at(pat, i, j)]
                     assert row == tuple(color_at(pat, i + di, j + dj) for di, dj in dirs)
 
@@ -233,11 +246,12 @@ def test_pattern_golden_digests():
         got[kind.value] = {}
         for k in range(1, SUPPORTED_K[kind] + 1):
             p = pattern(kind, k)
-            text = color_table_text(p, p.period_j, p.period_i)
+            pi, pj = periods(p)
+            text = color_table_text(p, pj, pi)
             got[kind.value][k] = (
                 (p.p, p.q, p.s),
-                p.period_i,
-                p.period_j,
+                pi,
+                pj,
                 hashlib.sha256(text.encode()).hexdigest(),
             )
     assert got == GOLDEN_PATTERNS

@@ -14,8 +14,10 @@ receiver's frame on delivery.  A payload is None (tree), the sender's
 port label (renumber) or its color (ids).  Each protocol builds its
 per-grid tables once, at construction.
 
-A step must return the identical state object when nothing changed;
-quiescence detection relies on it.  A step reads nothing but p, its own
+A particle's state is a `ParticleState`, an immutable tuple of seven
+fields, and a step builds a changed one in a single tuple build.  A step
+must return the identical state object when nothing changed; quiescence
+detection relies on it.  A step reads nothing but p, its own
 state, its inbox and the cells at its algorithm's `read_offsets` from p
 (elect: its slot cells, so the ports plus the corners on the square
 grid; tree: its ports; renumber and ids: none).  On an empty inbox only
@@ -45,9 +47,8 @@ nobody's child.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import lru_cache, partial
+from typing import NamedTuple, Optional
 
 from .coloring import color_steps
 from .grid import (
@@ -74,8 +75,19 @@ IDS = "ids"
 PIPELINE_FULL = (ELECT, TREE, RENUMBER, IDS)
 
 
-@dataclass(frozen=True)
-class ParticleState:
+class ParticleState(NamedTuple):
+    """A particle's O(1) memory: an immutable tuple of seven fields.
+
+    Immutability matters because states are shared: every particle at
+    one frame offset starts from the same `start_states` object, in
+    every run, and a step that changes nothing returns the very object
+    it got, so identity means "unchanged".  A step unpacks its own state
+    by field name and builds its successor with `_successor`, one tuple
+    build, because the generated constructor and `_replace` parse their
+    arguments on every call.  Of another particle's state a step reads
+    attributes only.
+    """
+
     status: str = STATUS_CANDIDATE
     parent_port: Optional[int] = None
     child_ports: tuple = ()  # increasing
@@ -93,13 +105,8 @@ class ParticleState:
         return (self.parent_port + self.frame_offset) % d
 
 
-def _evolve(state: ParticleState, **changes) -> ParticleState:
-    """`dataclasses.replace` without its per-call field introspection,
-    which dominated step time; ParticleState has no __post_init__.  The
-    new instance takes one merged dict, cheaper than filling its own."""
-    new = object.__new__(ParticleState)
-    object.__setattr__(new, "__dict__", {**state.__dict__, **changes})
-    return new
+# A ParticleState from a tuple of its seven fields in order, unchecked.
+_successor = partial(tuple.__new__, ParticleState)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +194,11 @@ class ElectProtocol:
         # the candidates stay connected: one in a corner slot means one behind a port
         status = STATUS_NON_CANDIDATE if mask else STATUS_LEADER
         woken = [p + o for bit, o in self.slots if mask & bit]
-        return _evolve(state, status=status), (), woken
+        _, parent_port, child_ports, local_id, frame_offset, tree_joined, renumber_done = state
+        new = _successor((
+            status, parent_port, child_ports, local_id, frame_offset, tree_joined, renumber_done
+        ))
+        return new, (), woken
 
     def describe(self, old, new):
         return f"{old.status}->{new.status}"
@@ -221,12 +232,16 @@ class TreeProtocol:
                 for a, (o, _) in enumerate(hop)
                 if not got >> a & 1 and p + o in states
             ]
-            new = _evolve(
-                state,
-                tree_joined=True,
-                parent_port=inbox[0][0] if inbox else None,
-                child_ports=tuple(kids),
-            )
+            status, _, _, local_id, frame_offset, _, renumber_done = state
+            new = _successor((
+                status,
+                inbox[0][0] if inbox else None,
+                tuple(kids),
+                local_id,
+                frame_offset,
+                True,
+                renumber_done,
+            ))
             # every sender but the parent now finds p joined under a
             # parent port that does not face it
             woken = [p + hop[via][0] for via, _ in inbox[1:]]
@@ -242,7 +257,11 @@ class TreeProtocol:
                 kept.append(a)
         if len(kept) == len(state.child_ports):
             return state, (), ()
-        return _evolve(state, child_ports=tuple(kept)), (), ()
+        status, parent_port, _, local_id, frame_offset, tree_joined, renumber_done = state
+        new = _successor((
+            status, parent_port, tuple(kept), local_id, frame_offset, tree_joined, renumber_done
+        ))
+        return new, (), ()
 
     def describe(self, old, new):
         kids = ",".join(map(str, new.child_ports)) or "-"
@@ -272,21 +291,28 @@ class RenumberProtocol:
         if state.status == STATUS_LEADER:
             if state.renumber_done:
                 return state, (), ()
-            new = _evolve(state, renumber_done=True)
-            return new, [(a, a) for a in state.child_ports], ()
+            status, parent_port, child_ports, local_id, frame_offset, tree_joined, _ = state
+            new = _successor((
+                status, parent_port, child_ports, local_id, frame_offset, tree_joined, True
+            ))
+            return new, [(a, a) for a in child_ports], ()
         if state.renumber_done or not inbox:
             return state, (), ()
         d = self.d
         via, b = inbox[0]
         shift = (self.opposite[b] - via) % d
-        new = _evolve(
-            state,
-            renumber_done=True,
-            frame_offset=(state.frame_offset - shift) % d,
-            parent_port=(state.parent_port + shift) % d,
-            child_ports=tuple(sorted((a + shift) % d for a in state.child_ports)),
-        )
-        return new, [(a, a) for a in new.child_ports], ()
+        status, parent_port, child_ports, local_id, frame_offset, tree_joined, _ = state
+        child_ports = tuple(sorted((a + shift) % d for a in child_ports))
+        new = _successor((
+            status,
+            (parent_port + shift) % d,
+            child_ports,
+            local_id,
+            (frame_offset - shift) % d,
+            tree_joined,
+            True,
+        ))
+        return new, [(a, a) for a in child_ports], ()
 
     def describe(self, old, new):
         if new.status == STATUS_LEADER:
@@ -315,7 +341,11 @@ class IdsProtocol:
             c = self.colors[got][self.steps[state.frame_offset][via][2]]
         else:  # the leader, which no mail reaches
             c = 0
-        return _evolve(state, local_id=c), [(a, c) for a in state.child_ports], ()
+        status, parent_port, child_ports, _, frame_offset, tree_joined, renumber_done = state
+        new = _successor((
+            status, parent_port, child_ports, c, frame_offset, tree_joined, renumber_done
+        ))
+        return new, [(a, c) for a in child_ports], ()
 
     def describe(self, old, new):
         return f"id={new.local_id}"
@@ -348,8 +378,8 @@ def update_id_after_move(
     d = degree(kind)
     if not 0 <= port < d:
         raise ValueError(f"port {port} out of range for {GridKind(kind).value} grid")
-    return _evolve(
-        state, local_id=color_steps(kind, k)[state.local_id][(port + state.frame_offset) % d]
+    return state._replace(
+        local_id=color_steps(kind, k)[state.local_id][(port + state.frame_offset) % d]
     )
 
 

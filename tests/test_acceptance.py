@@ -16,7 +16,6 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import replace
 from functools import lru_cache, partial
 from itertools import combinations, product
 
@@ -570,7 +569,7 @@ def test_criterion_8_identifier_soundness():
                 k = rng.randint(1, 6)
                 pat = pattern(kind, k)
                 offset = rng.randrange(d)
-                state = replace(start_states(kind)[offset], local_id=color_at(pat, 0, 0))
+                state = start_states(kind)[offset]._replace(local_id=color_at(pat, 0, 0))
                 pos = (0, 0)
                 for _ in range(rng.randrange(1, 21)):
                     port = rng.randrange(d)

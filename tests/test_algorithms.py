@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -299,8 +298,6 @@ def test_tree_helpers_reject_disconnected_pointers():
     states = dict(res.states)
     # cut one leaf loose from its parent's child list; the tree no
     # longer spans and the level count refuses to answer
-    from dataclasses import replace
-
     leaf = next(
         p for p in cfg.particles()
         if states[p].parent_port is not None and not states[p].child_ports
@@ -308,8 +305,7 @@ def test_tree_helpers_reject_disconnected_pointers():
     parent = tree_parent(cfg.kind, states, leaf)
     back = opposite_port(cfg.kind, states[leaf].parent_port)
     assert back in states[parent].child_ports
-    states[parent] = replace(
-        states[parent],
+    states[parent] = states[parent]._replace(
         child_ports=tuple(a for a in states[parent].child_ports if a != back),
     )
     with pytest.raises(ValueError) as err:
@@ -317,7 +313,7 @@ def test_tree_helpers_reject_disconnected_pointers():
     assert str(err.value) == "tree does not span the system"
     # with no leader there is no root to count levels from
     root = leader_of(states)
-    states[root] = replace(states[root], status=STATUS_NON_CANDIDATE)
+    states[root] = states[root]._replace(status=STATUS_NON_CANDIDATE)
     with pytest.raises(ValueError) as err:
         tree_height(cfg.kind, states)
     assert str(err.value) == "no leader"
@@ -420,11 +416,15 @@ def test_update_id_after_move_tracks_absolute_position(kind):
     for trial in range(60):
         offset = rng.randrange(d)
         state = start_states(kind)[offset]
-        state = replace(state, local_id=color_at(pat, 0, 0))
+        state = state._replace(local_id=color_at(pat, 0, 0))
         pos = (0, 0)
         for _ in range(rng.randrange(1, 20)):
             port = rng.randrange(d)
-            state = update_id_after_move(kind, k, state, port)
+            moved = update_id_after_move(kind, k, state, port)
+            # a move writes only the id
+            written = {f for f, a, b in zip(ParticleState._fields, state, moved) if a != b}
+            assert written == {"local_id"}, written
+            state = moved
             di, dj = oracles.DIRS[kind.value][(port + offset) % d]
             pos = (pos[0] + di, pos[1] + dj)
         assert state.local_id == color_at(pat, *pos)
@@ -441,7 +441,7 @@ def test_update_id_rejects_ports_out_of_range(kind):
     # at offset 1 the port plus the offset, reduced mod d, is always a
     # port; the move must still reject a port the particle does not have
     d = degree(kind)
-    state = replace(start_states(kind)[1], local_id=0)
+    state = start_states(kind)[1]._replace(local_id=0)
     for port in (9, -1, d):
         with pytest.raises(ValueError):
             update_id_after_move(kind, 1, state, port)

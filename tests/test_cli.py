@@ -10,7 +10,6 @@ test runner, which keeps its hundreds of examples fast.
 """
 
 import ast
-import dataclasses
 import hashlib
 import os
 import random
@@ -32,7 +31,6 @@ from gridmatter.algorithms import (
     PIPELINE_FULL,
     STATUS_CANDIDATE,
     STATUS_LEADER,
-    ParticleState,
     leader_of,
     tree_parent,
 )
@@ -549,7 +547,7 @@ def _finished_states(kind, cells, k=1):
 
 
 def _plant(states, p, **changes):
-    states[p] = ParticleState(**{**states[p].__dict__, **changes})
+    states[p] = states[p]._replace(**changes)
 
 
 def test_verify_run_reports_an_off_system_parent():
@@ -659,7 +657,7 @@ def _parent_port_as_child(step):
         new, sends, woken = step(self, p, s, inbox, states)
         if inbox and not s.tree_joined:
             kids = tuple(sorted((*new.child_ports, new.parent_port)))
-            new = dataclasses.replace(new, child_ports=kids)
+            new = new._replace(child_ports=kids)
         return new, sends, woken
     return faulty
 
@@ -668,7 +666,7 @@ def _child_ports_unrotated(step):
     def faulty(self, p, s, inbox, states):
         new, sends, woken = step(self, p, s, inbox, states)
         if new is not s:
-            new = dataclasses.replace(new, child_ports=s.child_ports)
+            new = new._replace(child_ports=s.child_ports)
         return new, sends, woken
     return faulty
 

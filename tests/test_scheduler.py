@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmatter import algorithms
-from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, leader_of
+from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, ParticleState, leader_of
 from gridmatter.particles import ParticleConfig, key_width, make_config
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
@@ -164,7 +163,7 @@ def test_a_never_quiescing_phase_hits_the_default_cap(monkeypatch, cells, cap):
     # never quiesces; the default cap is 64 * n * max(2n, 8), and at n = 4
     # both arguments of max are 8, so a change to either constant shows
     def restless(self, p, s, inbox, states):
-        return dataclasses.replace(s), (), (p,)
+        return s._replace(), (), (p,)
 
     monkeypatch.setattr(algorithms.ElectProtocol, "step", restless)
     with pytest.raises(SimulationError) as err:
@@ -420,7 +419,8 @@ def test_golden_runs_do_the_pinned_work(kind, monkeypatch):
 # `read_offsets` cells, only `CAN_ACT` states act on an empty inbox,
 # steps are idempotent, and a change wakes every reader it can make act;
 # the audit below checks all four on every particle at every step call,
-# and which fields a step reads of another cell's state.
+# which fields a step reads of another cell's state, and which fields of
+# its own state a change writes.
 
 # Per algorithm, the fields of other cells' states that its steps read.
 NEIGHBOUR_FIELDS = {
@@ -428,6 +428,16 @@ NEIGHBOUR_FIELDS = {
     "tree": {"tree_joined", "parent_direction"},
     "renumber": set(),
     "ids": set(),
+}
+
+# Per algorithm, the fields of its own state that its changes write: a
+# step builds its successor positionally, so a value put in the wrong
+# field shows here.
+OWN_FIELDS = {
+    "elect": {"status"},
+    "tree": {"tree_joined", "parent_port", "child_ports"},
+    "renumber": {"renumber_done", "frame_offset", "parent_port", "child_ports"},
+    "ids": {"local_id"},
 }
 
 
@@ -512,6 +522,12 @@ def _audited_step(name, kind, w, step, counts):
         if out[0] is state:
             assert not woken, (name, p, woken)
             return out
+        assert type(out[0]) is ParticleState, (name, p, type(out[0]))
+        written = {
+            f for f, old, new in zip(ParticleState._fields, state, out[0]) if old != new
+        }
+        assert written <= OWN_FIELDS[name], (name, p, written)
+        counts["written"][name] |= written
         assert woken <= states.keys(), (name, p, woken)
         # a particle that reads p and is neither woken nor mailed must
         # not go from a no-op on an empty inbox to acting, by p's change
@@ -550,6 +566,7 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
         for key in ("dormant", "idle", "no-op", "unwoken")
     }
     counts["fields"] = {name: set() for name in PIPELINE_FULL}
+    counts["written"] = {name: set() for name in PIPELINE_FULL}
 
     def audited_protocol(name, config, k=1):
         proto = make_protocol(name, config, k)
@@ -575,6 +592,7 @@ def test_steps_read_only_declared_cells_and_only_can_act_states_act(
     # the wake check saw readers of a change in both phases that read cells
     assert counts["unwoken"]["elect"] and counts["unwoken"]["tree"], counts["unwoken"]
     assert counts["fields"] == NEIGHBOUR_FIELDS
+    assert counts["written"] == OWN_FIELDS
     # the engine never steps a particle that cannot act and has no mail,
     # and outside the election every step it makes changes or sends
     assert not any(counts["idle"].values()), counts["idle"]

@@ -83,19 +83,6 @@ class TraceRound:
     changes: dict[int, tuple[str, int]]
 
 
-class TraceEvents:
-    """The count of a trace's recorded activations, as `len()`: all of
-    them on a recorded run, none on an unrecorded one."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: RunTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return self._trace.activations if self._trace.log else 0
-
-
 @dataclass
 class RunTrace:
     """A run's totals and, when recorded, its rounds, whose equal
@@ -120,8 +107,10 @@ class RunTrace:
             yield _shuffled(self.particles, rng) if r.order is None else r.order
 
     @property
-    def events(self) -> TraceEvents:
-        return TraceEvents(self)
+    def events(self) -> range:
+        """The recorded activations, as a count: all of them on a
+        recorded run, none on an unrecorded one."""
+        return range(self.activations if self.log else 0)
 
     def to_text(self) -> str:
         # one string per round, so only one round's lines are live at once

@@ -1,5 +1,5 @@
-"""Checks on a finished run: the post-pipeline invariants and the label
-of a stalled election."""
+"""Checks on a finished run: the post-pipeline invariants, which read
+each particle's state once, and the label of a stalled election."""
 
 from __future__ import annotations
 
@@ -10,85 +10,82 @@ from .particles import ParticleConfig, find_holes
 
 
 def verify_run(config: ParticleConfig, k: int, states: dict) -> list:
-    """Post-pipeline invariants; returns violation strings."""
-    violations = []
+    """Post-pipeline invariants; returns violation strings, grouped by
+    check, each group in the order of `states`."""
     kind = config.kind
     leaders = algorithms.leader_cells(states)
     if len(leaders) != 1:
-        violations.append(f"leaders={len(leaders)}")
-        return violations
+        return [f"leaders={len(leaders)}"]
     leader = leaders[0]
-    stragglers = [
-        p
-        for p, s in states.items()
-        if p != leader and s.status != algorithms.STATUS_NON_CANDIDATE
-    ]
-    if stragglers:
-        violations.append(f"non-retired={len(stragglers)}")
-
-    # tree shape and reciprocity, from each particle's parent cell q and
-    # the child port of q that faces it, if q lists one; `back` is the
-    # canonical port by which q reaches it.  Then from the other end: each
-    # child port that leads to a particle leads to one whose parent is p
+    li, lj = leader
+    want = states[leader].frame_offset
     steps = algorithms.port_steps(kind)
     d = len(steps)
     opposite = [r for _, _, r in steps[0]]  # opposite_port, in frame 0
-    parent = {}
-    for p, s in states.items():
-        if s.parent_port is None:
+    pat = pattern(kind, k)
+
+    # one walk that unpacks each state once; each check appends to its
+    # group's list, and the groups are joined in a fixed order after it
+    stragglers = links = 0
+    parents, children, frames, ports, idents = [], [], [], [], []
+    ids = {}
+    for p, state in states.items():
+        status, parent_port, child_ports, local_id, frame_offset, _, renumber_done = state
+        i, j = p
+        hop = steps[frame_offset]
+        if status != algorithms.STATUS_NON_CANDIDATE and p != leader:
+            stragglers += 1
+        # tree and port reciprocity: the parent cell q lists as a child
+        # port the canonical port `back` by which it reaches p, in q's
+        # frame, and that is the half-turn image of p's parent port
+        if parent_port is not None:
+            links += 1
+            di, dj, back = hop[parent_port]
+            q = (i + di, j + dj)
+            t = states.get(q)
+            if t is None:
+                parents.append(f"tree-parent-off-system: {p}")
+            else:
+                a = (back - t.frame_offset) % d
+                if a not in t.child_ports:
+                    parents.append(f"tree-reciprocity: {p}<->{q}")
+                    ports.append(f"port-reciprocity: {p}<->{q}")
+                elif a != opposite[parent_port]:
+                    ports.append(f"port-reciprocity: {p}<->{q}")
+        # each child port that leads to a particle leads to one whose
+        # parent port faces p
+        for a in child_ports:
+            di, dj, back = hop[a]
+            q = (i + di, j + dj)
+            t = states.get(q)
+            if t is not None and t.parent_direction(d) != back:
+                children.append(f"tree-child: {p}->{q}")
+        # frame agreement: every particle took part, offsets are equal
+        if not renumber_done:
+            frames.append(f"renumber-missing: {p}")
+        if frame_offset != want:
+            frames.append(f"frame-offset: {p}")
+        # identifier soundness: each id is the pattern color of the
+        # cell's displacement from the leader
+        if local_id is None:
+            idents.append(f"unassigned: {p}")
             continue
-        di, dj, back = steps[s.frame_offset][s.parent_port]
-        q = (p[0] + di, p[1] + dj)
-        a = None
-        if q in states:
-            a = (back - states[q].frame_offset) % d
-            if a not in states[q].child_ports:
-                a = None
-        parent[p] = q, a
-    if len(parent) != config.n - 1 or leader in parent:
+        ids[p] = local_id
+        if not 0 <= local_id < pat.color_count:
+            idents.append(f"id-range: {p}")
+        if local_id != color_at(pat, i - li, j - lj):
+            idents.append(f"id-position: {p}")
+
+    violations = [f"non-retired={stragglers}"] if stragglers else []
+    if links != config.n - 1 or states[leader].parent_port is not None:
         violations.append("tree-parent-count")
+    # only a walk from the root finds a cycle of reciprocal parent links
     try:
         algorithms.tree_height(kind, states)
     except ValueError as exc:
         violations.append(f"tree-span: {exc}")
-    for p, (q, a) in parent.items():
-        if q not in config.occupied:
-            violations.append(f"tree-parent-off-system: {p}")
-        elif a is None:
-            violations.append(f"tree-reciprocity: {p}<->{q}")
-    for p, s in states.items():
-        hop = steps[s.frame_offset]
-        for a in s.child_ports:
-            di, dj, _ = hop[a]
-            q = (p[0] + di, p[1] + dj)
-            if q in states and parent.get(q, (None,))[0] != p:
-                violations.append(f"tree-child: {p}->{q}")
+    violations += parents + children + frames + ports + idents
 
-    # frame agreement: every particle took part, offsets are equal, and
-    # labels across every tree edge are half-turn images of each other
-    want = states[leader].frame_offset
-    for p, s in states.items():
-        if not s.renumber_done:
-            violations.append(f"renumber-missing: {p}")
-        if s.frame_offset != want:
-            violations.append(f"frame-offset: {p}")
-    for p, (q, a) in parent.items():
-        if q in states and a != opposite[states[p].parent_port]:
-            violations.append(f"port-reciprocity: {p}<->{q}")
-
-    # identifier soundness: each id is the pattern color of the cell's
-    # displacement from the leader
-    pat = pattern(kind, k)
-    ids = {}
-    for p, s in states.items():
-        if s.local_id is None:
-            violations.append(f"unassigned: {p}")
-            continue
-        ids[p] = s.local_id
-        if not 0 <= s.local_id < pat.color_count:
-            violations.append(f"id-range: {p}")
-        if s.local_id != color_at(pat, p[0] - leader[0], p[1] - leader[1]):
-            violations.append(f"id-position: {p}")
     # a pair within distance k is within k on each axis, and q > p holds
     # exactly for the offsets after (0, 0), so each pair is found once,
     # from its least member p; the distance depends on the offset alone

@@ -640,6 +640,39 @@ def test_verify_run_reports_planted_violations():
         "id-collision: (1, 1) (2, 1)",
     ]
 
+    states = dict(clean)
+    _plant(states, (0, 0), renumber_done=False)
+    assert climod.verify_run(cfg, 1, states) == ["renumber-missing: (0, 0)"]
+
+    states = dict(clean)
+    _plant(states, (0, 0), local_id=None)
+    assert climod.verify_run(cfg, 1, states) == ["unassigned: (0, 0)"]
+
+    # faults in every group at once: each group's lines stay together,
+    # in the order the groups are listed, each in the order of the cells
+    states = dict(clean)
+    _plant(states, (2, 1), status=STATUS_CANDIDATE)
+    _plant(states, (0, 1), child_ports=())
+    _plant(states, (1, 0), renumber_done=False)
+    _plant(states, (1, 1), local_id=None)
+    _plant(states, (1, 2), local_id=0)
+    _plant(states, (2, 0), frame_offset=(states[(2, 0)].frame_offset + 1) % 4)
+    assert climod.verify_run(cfg, 1, states) == [
+        "non-retired=1",
+        "tree-span: tree does not span the system",
+        "tree-reciprocity: (0, 0)<->(0, 1)",
+        "tree-reciprocity: (2, 0)<->(1, 0)",
+        "tree-child: (2, 1)->(2, 0)",
+        "renumber-missing: (1, 0)",
+        "frame-offset: (2, 0)",
+        "port-reciprocity: (0, 0)<->(0, 1)",
+        "port-reciprocity: (2, 0)<->(1, 0)",
+        "unassigned: (1, 1)",
+        "id-position: (1, 2)",
+        "id-collision: (0, 2) (1, 2)",
+        "id-collision: (1, 2) (2, 2)",
+    ]
+
 
 # Single faults for `verify_run` to find, each planted by monkeypatch as
 # (owner, attribute, make), where `make` turns the original attribute

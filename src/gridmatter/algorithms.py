@@ -11,8 +11,11 @@ keys of the particles its change wakes.  Port numbers held in particle
 state (parent_port, and child_ports, a tuple in increasing order) are
 always in the particle's own frame; the engine translates to the
 receiver's frame on delivery.  A payload is None (tree), the sender's
-port label (renumber) or its color (ids).  Each protocol builds its
-per-grid tables once, at construction.
+port label (renumber) or its color (ids).  An outbox is a sequence of
+such pairs, and may be one tuple that every step sending the same mail
+shares (`port_sets`): the engine and every other reader of an outbox
+only read it.  Each protocol builds its per-grid tables once, at
+construction.
 
 A particle's state is a `ParticleState`, an immutable tuple of seven
 fields, and a step builds a changed one in a single tuple build.  A step
@@ -134,6 +137,43 @@ def port_keys(kind: GridKind, w: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def bit_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask below 2**n, the indices of its set bits as an increasing
+    tuple: one shared tuple per set of ports or slots.  The masks with top
+    bit b are the masks below 2**b plus b, so each set is built by one
+    tuple concatenation."""
+    sets = [()]
+    for b in range(n):
+        sets += [c + (b,) for c in sets]
+    return tuple(sets)
+
+
+@lru_cache(maxsize=None)
+def port_sets(kind: GridKind) -> tuple[tuple[dict, ...], dict, dict]:
+    """The port sets the steps send and turn, as lookups keyed by the
+    increasing tuple of the ports (`bit_sets` of the degree), each value a
+    tuple shared by every run: (turned, relays, joins).  `turned[s]` maps
+    the ports to the ports turned by s, increasing again (renumber's
+    relabel); `relays` maps them to the (a, a) outbox of renumber and
+    `joins` to the (a, None) outbox of a tree join."""
+    d = degree(kind)
+    sets = bit_sets(d)
+    full = len(sets) - 1
+    turned = tuple(
+        dict(zip(sets, [
+            sets[(m << s | m >> (d - s)) & full] for m in range(len(sets))
+        ]))
+        for s in range(d)
+    )
+    # built in `bit_sets`'s order, so entry m holds the ports of mask m
+    relays, joins = [()], [()]
+    for a in range(d):
+        relays += [r + ((a, a),) for r in relays]
+        joins += [r + ((a, None),) for r in joins]
+    return turned, dict(zip(sets, relays)), dict(zip(sets, joins))
+
+
+@lru_cache(maxsize=None)
 def start_states(kind: GridKind) -> tuple[ParticleState, ...]:
     """The initial state per frame offset: immutable, so every particle
     with that offset shares it, in every run."""
@@ -179,6 +219,9 @@ class ElectProtocol:
         self.slots = tuple(
             (bit, di * w + dj) for bit, (di, dj) in slot_cells(config.kind, (0, 0))
         )
+        # slot i is bit 1 << i of the mask
+        self.offs = tuple(o for _, o in self.slots)
+        self.bits = bit_sets(len(self.slots))
 
     def step(self, p, state, inbox, states):
         if state.status != STATUS_CANDIDATE:
@@ -193,7 +236,8 @@ class ElectProtocol:
             return state, (), ()
         # the candidates stay connected: one in a corner slot means one behind a port
         status = STATUS_NON_CANDIDATE if mask else STATUS_LEADER
-        woken = [p + o for bit, o in self.slots if mask & bit]
+        offs = self.offs
+        woken = [p + offs[i] for i in self.bits[mask]]
         _, parent_port, child_ports, local_id, frame_offset, tree_joined, renumber_done = state
         new = _successor((
             status, parent_port, child_ports, local_id, frame_offset, tree_joined, renumber_done
@@ -218,6 +262,7 @@ class TreeProtocol:
     def __init__(self, config: ParticleConfig):
         self.ports = port_keys(config.kind, config.key_width)
         self.d = len(self.ports)
+        self.joins = port_sets(config.kind)[2]
 
     def step(self, p, state, inbox, states):
         if not state.tree_joined and not inbox and state.status != STATUS_LEADER:
@@ -227,16 +272,16 @@ class TreeProtocol:
             got = 0  # the ports mail came through, as bits
             for via, _ in inbox:
                 got |= 1 << via
-            kids = [
+            kids = tuple([
                 a
                 for a, (o, _) in enumerate(hop)
                 if not got >> a & 1 and p + o in states
-            ]
+            ])
             status, _, _, local_id, frame_offset, _, renumber_done = state
             new = _successor((
                 status,
                 inbox[0][0] if inbox else None,
-                tuple(kids),
+                kids,
                 local_id,
                 frame_offset,
                 True,
@@ -244,8 +289,8 @@ class TreeProtocol:
             ))
             # every sender but the parent now finds p joined under a
             # parent port that does not face it
-            woken = [p + hop[via][0] for via, _ in inbox[1:]]
-            return new, [(a, None) for a in kids], woken
+            woken = [p + hop[via][0] for via, _ in inbox[1:]] if len(inbox) > 1 else ()
+            return new, self.joins[kids], woken
         # joined, so its inbox is empty: keep each child unless it has
         # joined under a parent port that does not face p
         d = self.d
@@ -286,6 +331,7 @@ class RenumberProtocol:
         self.d = degree(config.kind)
         # at frame offset 0 a local port is the canonical one
         self.opposite = tuple(back for _, _, back in port_steps(config.kind)[0])
+        self.turned, self.relays, _ = port_sets(config.kind)
 
     def step(self, p, state, inbox, states):
         if state.status == STATUS_LEADER:
@@ -295,14 +341,14 @@ class RenumberProtocol:
             new = _successor((
                 status, parent_port, child_ports, local_id, frame_offset, tree_joined, True
             ))
-            return new, [(a, a) for a in child_ports], ()
+            return new, self.relays[child_ports], ()
         if state.renumber_done or not inbox:
             return state, (), ()
         d = self.d
         via, b = inbox[0]
         shift = (self.opposite[b] - via) % d
         status, parent_port, child_ports, local_id, frame_offset, tree_joined, _ = state
-        child_ports = tuple(sorted((a + shift) % d for a in child_ports))
+        child_ports = self.turned[shift][child_ports]
         new = _successor((
             status,
             (parent_port + shift) % d,
@@ -312,7 +358,7 @@ class RenumberProtocol:
             tree_joined,
             True,
         ))
-        return new, [(a, a) for a in child_ports], ()
+        return new, self.relays[child_ports], ()
 
     def describe(self, old, new):
         if new.status == STATUS_LEADER:

@@ -21,7 +21,9 @@ idempotent (see `algorithms`).  A delivery wakes the receiver, and a
 change wakes the particles its step returns.  At the start of a phase
 the particles in a `CAN_ACT` state are awake.  None has mail: the last
 phase ended on a round with no sends, which stepped every particle with
-mail.
+mail.  A round is scanned by particle, without positions: only a
+recorded activation, one that changed state or sent, looks up its
+position in the order.
 
 Inside a run every cell is the int key of `particles.key_width`; the
 states, the trace and every error leave the engine in (i, j)
@@ -223,6 +225,8 @@ def run(
     `k` only matters for the identifier phase.  `record=False` keeps the
     totals but leaves `trace.log` empty, for bulk runs.
     """
+    if not config.occupied:
+        raise SimulationError("configuration has no particles")
     particles = config.particles()
     n = len(particles)
     cap = max_activations if max_activations is not None else 64 * n * max(2 * n, 8)
@@ -267,11 +271,12 @@ def run(
             round_changed = False
             round_sends = 0
             changes: dict[int, tuple[str, int]] = {}
+            last = -1  # the round's last recorded position
             if record:
                 trace.log.append(TraceRound(name, shown, changes))
             # only a step wakes a particle, so once none is awake the rest
             # of the round is no-ops: it is drawn, recorded and counted only
-            for pos, p in enumerate(order if awake else ()):
+            for p in order if awake else ():
                 if p not in awake:
                     continue
                 inbox = inboxes[p]
@@ -312,7 +317,13 @@ def run(
                         proto.describe(state, new_state) if changed else "-",
                         len(outbox),
                     )
-                    changes[pos] = entries.setdefault(entry, entry)
+                    # every activation since `last` changed nothing and
+                    # sent nothing, so it woke and mailed nobody: had p
+                    # come up among them, it would have slept since.  So
+                    # p's first place after `last` is this activation,
+                    # also in an explicit order that repeats p
+                    last = order.index(p, last + 1)
+                    changes[last] = entries.setdefault(entry, entry)
                 if not awake:
                     break
             phase_sends += round_sends

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,10 @@ from gridmatter.algorithms import (
     ElectProtocol,
     ParticleState,
     TreeProtocol,
+    bit_sets,
     id_histogram,
     leader_of,
+    port_sets,
     port_steps,
     start_states,
     tree_height,
@@ -339,6 +342,50 @@ def test_tree_describe_formats_every_child_port_subset(kind):
         assert proto.describe(unjoined_root, root) == f"root children={kids}"
         assert proto.describe(full, joined) == f"prune children={kids}"
         assert proto.describe(full, root) == f"prune children={kids}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_port_set_tables_equal_what_the_steps_built_per_call(kind):
+    d = degree(kind)
+    turned, relays, joins = port_sets(kind)
+    subsets = sorted(c for n in range(d + 1) for c in combinations(range(d), n))
+    assert len(turned) == d
+    for table in (*turned, relays, joins):
+        assert sorted(table) == subsets
+        assert all(type(entry) is tuple for entry in table.values())
+    for c in subsets:
+        for s in range(d):
+            assert turned[s][c] == tuple(sorted((a + s) % d for a in c))
+        assert list(relays[c]) == [(a, a) for a in c]
+        assert list(joins[c]) == [(a, None) for a in c]
+    # built from the masks: a turned set is the one tuple of its ports
+    assert {id(t) for table in turned for t in table.values()} == set(map(id, relays))
+    slots = slot_cells(kind, (0, 0))
+    bits = bit_sets(len(slots))
+    assert len(bits) == len(contractibility_table(kind))  # every slot mask
+    for mask, ids in enumerate(bits):
+        assert type(ids) is tuple
+        assert ids == tuple(i for i, (bit, _) in enumerate(slots) if mask & bit)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_tree_join_mails_none_to_each_child_and_wakes_the_other_senders(kind):
+    d = degree(kind)
+    cells = [(0, 0), *neighbors(kind, (0, 0))]
+    cfg = make_config(kind, cells)
+    w = cfg.key_width
+    key = [i * w + j for i, j in cells]  # the centre, then port a's cell at a + 1
+    states = dict.fromkeys(key, ParticleState())
+    proto = TreeProtocol(cfg)
+    root, outbox, woken = proto.step(0, ParticleState(status=STATUS_LEADER), [], states)
+    assert root.child_ports == tuple(range(d)) and not woken
+    assert outbox == tuple((a, None) for a in range(d))
+    # mail through ports 0 and 1: the parent is port 0, the sender
+    # behind port 1 is woken, and the rest are children
+    joined, outbox, woken = proto.step(0, ParticleState(), [(0, None), (1, None)], states)
+    assert (joined.parent_port, joined.child_ports) == (0, tuple(range(2, d)))
+    assert outbox == tuple((a, None) for a in range(2, d))
+    assert list(woken) == [key[2]]
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,16 @@ def test_a_random_schedule_without_a_seed_raises_before_the_first_phase(record):
     assert str(err.value) == "a random schedule needs a seed, not None"
 
 
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("policy", [POLICY_ROUND_ROBIN, POLICY_RANDOM, POLICY_EXPLICIT])
+def test_a_config_without_particles_is_refused(policy, record):
+    # in validate_config's words, before the schedule or the key width
+    cfg = make_config("square", [])
+    with pytest.raises(SimulationError) as err:
+        run(cfg, PIPELINE_FULL, Schedule(policy), record=record)
+    assert str(err.value) == "configuration has no particles"
+
+
 def test_explicit_orders_fall_back_to_sorted_when_exhausted():
     cfg = make_config("square", TWO)
     first = tuple(sorted(TWO, reverse=True))
@@ -725,6 +735,27 @@ def test_run_equals_a_reference_engine_that_steps_every_activation(
     for s in states.values():
         ports = s.child_ports
         assert type(ports) is tuple and all(a < b for a, b in zip(ports, ports[1:]))
+
+
+def test_a_repeated_particle_records_its_change_at_the_slot_that_made_it():
+    # (0, 1) comes up twice in round 1: first a no-op, as its retirement
+    # would split (0, 0) from (0, 2); then, after (0, 0) retires and wakes
+    # it, it retires too
+    cfg = make_config("square", [(0, 0), (0, 1), (0, 2)])
+    sched = Schedule(POLICY_EXPLICIT, orders=(((0, 1), (0, 0), (0, 1), (0, 2)),))
+    res = run(cfg, PIPELINE_FULL, sched)
+    text = res.trace.to_text()
+    assert text.startswith(
+        "1\t0,1\telect\t-\t0\n"
+        "1\t0,0\telect\tC->N\t0\n"
+        "1\t0,1\telect\tC->N\t0\n"
+        "1\t0,2\telect\tC->L\t0\n"
+    )
+    ref_text, reports, states = _reference_run(cfg, PIPELINE_FULL, sched, 1)
+    assert text == ref_text
+    assert res.reports == reports and res.states == states
+    quiet = run(cfg, PIPELINE_FULL, sched, record=False)
+    assert quiet.reports == reports and quiet.states == states
 
 
 @pytest.mark.parametrize("policy", [POLICY_RANDOM, POLICY_EXPLICIT])

@@ -143,10 +143,9 @@ def pattern(kind: GridKind, k: int) -> ColoringPattern:
     - triangular, odd k: (3h, h, h) with h = (k+1)/2, the k=1 lattice
       scaled by h;
     - triangular, even k: (m, 1, (3k/2 + 1) mod m).
-    A basis with a short vector is refused with LookupError.
+    A basis with a short vector is refused with LookupError, and a k
+    below 1 with `color_count`'s ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     kind = GridKind(kind)
     cand = ColoringPattern(kind, k, *_basis(kind, k))
     if short_vector(kind, k, cand.p, cand.q, cand.s) is not None:

@@ -21,9 +21,9 @@ idempotent (see `algorithms`).  A delivery wakes the receiver, and a
 change wakes the particles its step returns.  At the start of a phase
 the particles in a `CAN_ACT` state are awake.  None has mail: the last
 phase ended on a round with no sends, which stepped every particle with
-mail.  A round is scanned by particle, without positions: only a
-recorded activation, one that changed state or sent, looks up its
-position in the order.
+mail.  A round is scanned by particle, without positions: a recorded
+activation, one that changed state or sent, names its particle, and
+only `RunTrace.to_text()` places it in the order.
 
 Inside a run every cell is the int key of `particles.key_width`; the
 states, the trace and every error leave the engine in (i, j)
@@ -75,14 +75,15 @@ class Schedule:
 class TraceRound:
     """One recorded round; its number is its position in `log`, from 1.
     `order` is None for a shuffled round, whose order `RunTrace.orders()`
-    replays.  `changes` maps a position in the order (an explicit order
-    may repeat a particle) to `(transition, messages)` for each
-    activation that changed state or sent; the rest were no-ops.  Equal
-    entries of one run are one object."""
+    replays.  `changes` lists `(cell, (transition, messages))` for each
+    activation that changed state or sent, in activation order; the rest
+    were no-ops.  A particle an explicit order repeats may be listed
+    twice.  Each cell is one of `RunTrace.particles`, and equal entries
+    of one run are one object."""
 
     algorithm: str
     order: Optional[Sequence[Coord]]
-    changes: dict[int, tuple[str, int]]
+    changes: list[tuple[Coord, tuple[str, int]]]
 
 
 @dataclass
@@ -117,15 +118,27 @@ class RunTrace:
     def to_text(self) -> str:
         # one string per round, so only one round's lines are live at once
         rounds = []
+        name = quiet = None
         for number, (r, order) in enumerate(zip(self.log, self.orders()), 1):
-            head, tail = f"{number}\t", f"\t{r.algorithm}\t"
+            if r.algorithm != name:
+                # a phase's rounds are logged together: its no-op lines,
+                # keyed by particle, so an explicit order's equal cell
+                # prints as the particle
+                name = r.algorithm
+                quiet = {p: f"{p[0]},{p[1]}\t{name}\t-\t0\n" for p in self.particles}
             # every line as a no-op's, then the few that changed or sent
-            quiet = f"{tail}-\t0\n"
-            lines = [f"{head}{i},{j}{quiet}" for i, j in order]
-            for pos, (transition, messages) in r.changes.items():
-                i, j = order[pos]
-                lines[pos] = f"{head}{i},{j}{tail}{transition}\t{messages}\n"
-            rounds.append("".join(lines))
+            lines = list(map(quiet.__getitem__, order))
+            last = -1  # the round's last placed position
+            for p, (transition, messages) in r.changes:
+                # every activation since `last` changed nothing and sent
+                # nothing, so it woke and mailed nobody: had p come up
+                # among them, it would have slept since.  So p's first
+                # place after `last` is this change's activation, also in
+                # an explicit order that repeats p
+                last = order.index(p, last + 1)
+                lines[last] = f"{p[0]},{p[1]}\t{name}\t{transition}\t{messages}\n"
+            head = f"{number}\t"
+            rounds.append(head + head.join(lines))
         return "".join(rounds)
 
 
@@ -242,6 +255,7 @@ def run(
     # mail as (receiver's local port of arrival, payload) pairs
     inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
     trace = RunTrace(particles=particles, seed=schedule.seed if shuffles else None)
+    cells = dict(zip(keys, particles)) if record else {}
     entries: dict[tuple[str, int], tuple[str, int]] = {}  # one object per distinct entry
     reports: list[AlgorithmReport] = []
     steps = algorithms.port_keys(config.kind, w)
@@ -270,8 +284,7 @@ def run(
             trace.activations += len(order)
             round_changed = False
             round_sends = 0
-            changes: dict[int, tuple[str, int]] = {}
-            last = -1  # the round's last recorded position
+            changes: list[tuple[Coord, tuple[str, int]]] = []
             if record:
                 trace.log.append(TraceRound(name, shown, changes))
             # only a step wakes a particle, so once none is awake the rest
@@ -317,13 +330,7 @@ def run(
                         proto.describe(state, new_state) if changed else "-",
                         len(outbox),
                     )
-                    # every activation since `last` changed nothing and
-                    # sent nothing, so it woke and mailed nobody: had p
-                    # come up among them, it would have slept since.  So
-                    # p's first place after `last` is this activation,
-                    # also in an explicit order that repeats p
-                    last = order.index(p, last + 1)
-                    changes[last] = entries.setdefault(entry, entry)
+                    changes.append((cells[p], entries.setdefault(entry, entry)))
                 if not awake:
                     break
             phase_sends += round_sends

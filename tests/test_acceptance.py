@@ -183,14 +183,11 @@ def _audit_run(kind, cfg, cells, res, stats):
     split = not _connected(kind, C)
     exterior = set()
     # elect runs first, so its rounds lead the log; the replay stops at
-    # the first round of another phase, before its order is drawn
-    orders = res.trace.orders()
+    # the first round of another phase
     for r in res.trace.log:
         if r.algorithm != "elect":
             break
-        order = next(orders)
-        for pos, (transition, _) in r.changes.items():
-            p = order[pos]
+        for p, (transition, _) in r.changes:
             if transition == "C->N":
                 if not legal(C, p):
                     stats["legal_bad"] += 1
@@ -282,7 +279,7 @@ def _planted_run(kind, cells, retirements):
     cfg = make_config(kind, cells)
     order = tuple(sorted(cells))
     log = [
-        TraceRound("elect", order, {order.index(p): (transition, 0)})
+        TraceRound("elect", order, [(p, (transition, 0))])
         for p, transition in retirements
     ]
     trace = RunTrace(log=log, rounds=len(log) + 1)

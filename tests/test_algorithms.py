@@ -102,11 +102,10 @@ def test_election_walkthrough_round_by_round():
     res = run(cfg, ("elect",), sched)
 
     by_round = {}
-    trace = res.trace
-    for number, (r, order) in enumerate(zip(trace.log, trace.orders()), 1):
-        for pos, (transition, _) in r.changes.items():
+    for number, r in enumerate(res.trace.log, 1):
+        for p, (transition, _) in r.changes:
             if transition != "-":
-                by_round.setdefault(number, set()).add((order[pos], transition))
+                by_round.setdefault(number, set()).add((p, transition))
     assert by_round[1] == {(p, "C->N") for p in WALK_RETIRED[1]}
     assert by_round[2] == {(p, "C->N") for p in WALK_RETIRED[2]}
     assert by_round[3] == (
@@ -139,11 +138,10 @@ def test_election_transitions_preserve_candidate_invariants(kind):
     cfg = make_config(kind, hole_free_blob(kind, 24, len(kind.value)))
     res = run(cfg, ("elect",), Schedule(POLICY_RANDOM, seed=5))
     cset = set(cfg.particles())
-    for r, order in zip(res.trace.log, res.trace.orders()):
+    for r in res.trace.log:
         assert r.algorithm == "elect"
-        for pos, (transition, _) in r.changes.items():
+        for p, (transition, _) in r.changes:
             if transition == "C->N":
-                p = order[pos]
                 assert oracles.def1_contractible(cfg.kind, cset, p)
                 cset.discard(p)
                 assert oracles.connected(cfg.kind, cset)

@@ -135,6 +135,12 @@ def test_pattern_refuses_a_basis_that_fails_the_scan(monkeypatch):
         pattern.__wrapped__(GridKind.SQUARE, 2)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_pattern_refuses_k_below_one(kind):
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        pattern(kind, 0)
+
+
 def test_square_k4_linear_t4_has_the_known_collision():
     # the t=k multiplier family breaks down at k=4: colors repeat at
     # displacement (1,3), which is distance 4; s = -4 mod 13 makes the

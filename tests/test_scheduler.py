@@ -207,7 +207,7 @@ def test_run_quiesces_with_a_silent_confirm_round():
     assert len(res.trace.log) == last
     # the confirm round still activates everyone, each a no-op
     assert sorted(list(res.trace.orders())[-1]) == sorted(TWO)
-    assert res.trace.log[-1].changes == {}
+    assert res.trace.log[-1].changes == []
     report = res.reports[0]
     assert report.rounds_total == last
     assert report.rounds_active == last - 1
@@ -758,6 +758,44 @@ def test_a_repeated_particle_records_its_change_at_the_slot_that_made_it():
     assert quiet.reports == reports and quiet.states == states
 
 
+def test_a_repeated_particle_records_two_changes_in_one_round():
+    # the leader (1, 0) roots first in the tree's first round; (2, 0)
+    # joins and sends to (2, 1), which (1, 1) reached first, so (2, 1)
+    # joins under (1, 1) and wakes (2, 0), whose repeated slot prunes it.
+    # The tail (0, 0) keeps (1, 0) from retiring in the election
+    cfg = make_config("square", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)])
+    order = ((1, 0), (1, 1), (2, 0), (2, 1), (2, 0), (0, 0))
+    sched = Schedule(POLICY_EXPLICIT, orders=(order,))
+    res = run(cfg, PIPELINE_FULL, sched)
+    tree = next(r for r in res.trace.log if r.algorithm == "tree")
+    assert tree.changes == [
+        ((1, 0), ("root children=0,2,3", 3)),
+        ((1, 1), ("join parent=1 children=2", 1)),
+        ((2, 0), ("join parent=0 children=3", 1)),
+        ((2, 1), ("join parent=0 children=-", 0)),
+        ((2, 0), ("prune children=-", 0)),
+        ((0, 0), ("join parent=2 children=-", 0)),
+    ]
+    ref_text, reports, states = _reference_run(cfg, PIPELINE_FULL, sched, 1)
+    assert res.trace.to_text() == ref_text
+    assert res.reports == reports and res.states == states
+    quiet = run(cfg, PIPELINE_FULL, sched, record=False)
+    assert quiet.reports == reports and quiet.states == states
+
+
+@pytest.mark.parametrize("cell", [(True, 0), (1.0, 0)])
+def test_an_explicit_order_names_a_particle_by_an_equal_cell(cell):
+    # an equal cell passes the order check, and the trace prints the
+    # particle's own (1, 0), in no-op and changed lines alike
+    cfg = make_config("square", gen_rect(2, 2))
+    odd, plain = (
+        run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=((c, (0, 0), (0, 1), (1, 1)),)))
+        for c in (cell, (1, 0))
+    )
+    assert odd.trace.to_text() == plain.trace.to_text()
+    assert odd.reports == plain.reports and odd.states == plain.states
+
+
 @pytest.mark.parametrize("policy", [POLICY_RANDOM, POLICY_EXPLICIT])
 @pytest.mark.parametrize("kind", list(GridKind))
 def test_run_equals_the_reference_engine_on_a_200_particle_blob(kind, policy):
@@ -828,7 +866,7 @@ def test_recorded_random_run_holds_memory_per_change_not_per_activation():
         recorded - plain, changes, len(log)
     )
     # equal (transition, messages) entries of a run are one object
-    entries = [e for r in log for e in r.changes.values()]
+    entries = [e for r in log for _, e in r.changes]
     assert len({id(e) for e in entries}) == len(set(entries))
 
 

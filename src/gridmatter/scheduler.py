@@ -28,15 +28,16 @@ only `RunTrace.to_text()` places it in the order.
 Inside a run every cell is the int key of `particles.key_width`; the
 states, the trace and every error leave the engine in (i, j)
 coordinates, converted once per run.  A recorded shuffled round keeps no
-order: the trace replays it from the seed.  The policy and every
-explicit order are checked, and the orders keyed, once before the first
-phase.
+order: the trace replays it from the seed.  The policy is checked, and
+every explicit order read once, checked and keyed, before the first
+phase; a recorded explicit round holds a tuple of the run's own
+particles, never the caller's order or cells.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,26 +61,29 @@ class Schedule:
     Explicit orders are given per round, each naming every particle and
     no other cell (a particle may repeat); rounds past the provided list
     fall back to the sorted round-robin order, so quiescence confirmation
-    does not need to be spelled out.  `run` checks every order, the
-    policy and a random schedule's seed (None is refused: the trace
-    replays the shuffles from it) before the first phase, also an order
-    no phase reaches.
+    does not need to be spelled out.  Any iterable of iterables serves:
+    `run` reads each order once, before the first phase, and checks it,
+    also an order no phase reaches, with the policy and a random
+    schedule's seed (None is refused: the trace replays the shuffles
+    from it).  The run keeps none of these objects.
     """
 
     policy: str = POLICY_ROUND_ROBIN
     seed: int = 0
-    orders: Optional[tuple[tuple[Coord, ...], ...]] = None
+    orders: Optional[Iterable[Iterable[Coord]]] = None
 
 
 @dataclass(frozen=True)
 class TraceRound:
     """One recorded round; its number is its position in `log`, from 1.
     `order` is None for a shuffled round, whose order `RunTrace.orders()`
-    replays.  `changes` lists `(cell, (transition, messages))` for each
-    activation that changed state or sent, in activation order; the rest
-    were no-ops.  A particle an explicit order repeats may be listed
-    twice.  Each cell is one of `RunTrace.particles`, and equal entries
-    of one run are one object."""
+    replays; else it holds the run's own particles, as a tuple built
+    when an explicit round ran, so the caller's orders may change later.
+    `changes` lists `(cell, (transition, messages))` for each activation
+    that changed state or sent, in activation order; the rest were
+    no-ops.  A particle an explicit order repeats may be listed twice.
+    Each cell is one of `RunTrace.particles`, and equal entries of one
+    run are one object."""
 
     algorithm: str
     order: Optional[Sequence[Coord]]
@@ -122,8 +126,7 @@ class RunTrace:
         for number, (r, order) in enumerate(zip(self.log, self.orders()), 1):
             if r.algorithm != name:
                 # a phase's rounds are logged together: its no-op lines,
-                # keyed by particle, so an explicit order's equal cell
-                # prints as the particle
+                # keyed by particle
                 name = r.algorithm
                 quiet = {p: f"{p[0]},{p[1]}\t{name}\t-\t0\n" for p in self.particles}
             # every line as a no-op's, then the few that changed or sent
@@ -179,18 +182,25 @@ def _shuffled(items: Sequence, rng: random.Random) -> list:
     return order
 
 
-def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[list[int]]:
-    """The int keys of each explicit order of `schedule`, every order
-    checked against `particles`; none for the other policies, a random
-    one checked for a seed."""
+def _keyed_orders(
+    schedule: Schedule, particles: list[Coord], keys: list[int]
+) -> list[list[int]]:
+    """The int keys of each explicit order of `schedule`, `keys[i]` being
+    `particles[i]`'s; none for the other policies, a random one checked
+    for a seed.  Each order is read once, into a list, and each cell
+    keyed by the particle it equals: the order is accepted when every
+    cell is a particle and every particle is named.  Otherwise the same
+    list names a cell that is no (i, j) tuple, or it skips particles or
+    names empty cells.  The run never reads `schedule.orders` again."""
     if schedule.policy == POLICY_RANDOM and schedule.seed is None:
         raise SimulationError("a random schedule needs a seed, not None")
     if schedule.policy in (POLICY_ROUND_ROBIN, POLICY_RANDOM):
         return []
     if schedule.policy != POLICY_EXPLICIT:
         raise SimulationError(f"unknown schedule policy {schedule.policy!r}")
-    members = set(particles)
-    keyed = []
+    key_of = dict(zip(particles, keys)).get
+    n = len(particles)
+    keyed_orders = []
     try:
         rounds = enumerate(schedule.orders or ())
     except TypeError:
@@ -199,30 +209,32 @@ def _keyed_orders(schedule: Schedule, particles: list[Coord], w: int) -> list[li
         ) from None
     for round_index, order in rounds:
         try:
-            listed = set(order)
-        except TypeError:  # an unhashable cell, or not cells at all
-            listed = None
-        if listed != members:
-            try:
-                cells = iter(order)
-            except TypeError:
-                raise SimulationError(
-                    f"explicit order for round {round_index} is {order!r}, "
-                    "not a sequence of cells"
-                ) from None
-            for cell in cells:  # particles are (int, int) tuples
+            listed = list(order)
+        except TypeError:
+            raise SimulationError(
+                f"explicit order for round {round_index} is {order!r}, "
+                "not a sequence of cells"
+            ) from None
+        try:
+            keyed = list(map(key_of, listed))
+        except TypeError:  # an unhashable cell
+            keyed = [None]
+        found = set(keyed)  # None for a cell that is no particle
+        if None in found or len(found) != n:
+            for cell in listed:  # particles are (int, int) tuples
                 if type(cell) is not tuple or list(map(type, cell)) != [int, int]:
                     raise SimulationError(
                         f"explicit order for round {round_index} names {cell!r}, "
                         "not an (i, j) cell"
                     )
+            members, named = set(particles), set(listed)
             raise SimulationError(
                 f"explicit order for round {round_index} skips "
-                f"{sorted(members - listed)}, names empty cells "
-                f"{sorted(listed - members)}"
+                f"{sorted(members - named)}, names empty cells "
+                f"{sorted(named - members)}"
             )
-        keyed.append([i * w + j for i, j in order])
-    return keyed
+        keyed_orders.append(keyed)
+    return keyed_orders
 
 
 def run(
@@ -248,10 +260,17 @@ def run(
 
     w = config.key_width
     keys = [i * w + j for i, j in particles]
-    orders = _keyed_orders(schedule, particles, w)
-    start = algorithms.start_states(config.kind)
+    orders = _keyed_orders(schedule, particles, keys)
+    # the start state per frame offset; a miss is an offset out of range
+    start = dict(enumerate(algorithms.start_states(config.kind)))
     offset = config.frame_offsets.get
-    states = {q: start[offset(p, 0)] for p, q in zip(particles, keys)}
+    try:
+        states = {q: start[offset(p, 0)] for p, q in zip(particles, keys)}
+    except KeyError:
+        p = next(p for p in particles if offset(p, 0) not in start)
+        raise SimulationError(
+            f"frame offset {offset(p)} at {p} outside [0,{len(start)})"
+        ) from None
     # mail as (receiver's local port of arrival, payload) pairs
     inboxes: dict[int, list[tuple[int, tuple]]] = {q: [] for q in keys}
     trace = RunTrace(particles=particles, seed=schedule.seed if shuffles else None)
@@ -276,7 +295,8 @@ def run(
                 # particles, which come in the keys' order, from the seed
                 order, shown = _shuffled(keys, rng), None
             elif phase_round < len(orders):
-                order, shown = orders[phase_round], schedule.orders[phase_round]
+                order = orders[phase_round]
+                shown = tuple(map(cells.__getitem__, order)) if record else None
             else:
                 order, shown = keys, particles
             if trace.activations + len(order) > cap:

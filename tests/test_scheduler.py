@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridmatter import algorithms
 from gridmatter.algorithms import PIPELINE_FULL, STATUS_LEADER, ParticleState, leader_of
-from gridmatter.particles import ParticleConfig, key_width, make_config
+from gridmatter.particles import ParticleConfig, key_width, make_config, validate_config
 from gridmatter.scheduler import (
     POLICY_EXPLICIT,
     POLICY_RANDOM,
@@ -58,8 +58,8 @@ def test_different_seeds_may_change_orders_but_not_the_leader():
 def test_explicit_orders_must_cover_every_particle():
     cfg = make_config("square", TWO)
     # one particle skipped; every particle named, and a cell with none;
-    # (1, 0) skipped for the empty cell (0, 3), whose int key is (1, 0)'s
-    # (w = 3), so the order's keys are exactly the particles' keys
+    # (1, 0) skipped for the empty cell (0, 3), which, as a cell, matches
+    # no particle
     bad = ((0, 0), (0, 1), (0, 3), (1, 1))
     for order in (((0, 0), (0, 1), (1, 0)), (*TWO, (9, 9)), bad):
         with pytest.raises(SimulationError) as err:
@@ -96,6 +96,82 @@ def test_every_explicit_order_is_checked_before_the_first_phase():
     assert str(err.value) == (
         "explicit order for round 20 skips [(1, 1)], names empty cells []"
     )
+
+
+_ORDERS = (tuple(reversed(TWO)), ((1, 0), (0, 1), (0, 0), (1, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda orders: tuple(map(iter, orders)),  # one-shot orders
+        lambda orders: (order for order in orders),  # a generator of orders
+    ],
+    ids=["iterator-orders", "generator"],
+)
+def test_explicit_orders_may_be_one_shot_iterables(form, record):
+    cfg = make_config("square", TWO)
+    plain = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=_ORDERS), record=record)
+    res = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=form(_ORDERS)), record=record)
+    assert res.trace.to_text() == plain.trace.to_text()
+    assert res.reports == plain.reports and res.states == plain.states
+
+
+class _Counted:
+    """An iterable that counts its `__iter__` calls."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.items)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_explicit_orders_are_read_once(record):
+    cfg = make_config("square", TWO)
+    orders = _Counted(tuple(map(_Counted, _ORDERS)))
+    res = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=orders), record=record)
+    text = res.trace.to_text()
+    assert orders.reads == 1
+    assert [order.reads for order in orders.items] == [1, 1]
+    plain = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=_ORDERS), record=record)
+    assert text == plain.trace.to_text()
+
+
+def test_a_recorded_explicit_round_holds_the_runs_own_particles():
+    cfg = make_config("square", TWO)
+    res = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=_ORDERS))
+    own = {p: p for p in res.trace.particles}
+    explicit = [r.order for r in res.trace.log if r.order is not res.trace.particles]
+    assert len(explicit) == 2 * len(PIPELINE_FULL)
+    for order, given in zip(explicit, _ORDERS * len(PIPELINE_FULL)):
+        assert type(order) is tuple and order == given
+        assert all(own[p] is p for p in order)
+
+
+def test_changing_the_callers_orders_after_a_run_leaves_its_trace():
+    cfg = make_config("square", TWO)
+    orders = [list(order) for order in _ORDERS]
+    res = run(cfg, PIPELINE_FULL, Schedule(POLICY_EXPLICIT, orders=orders))
+    text = res.trace.to_text()
+    for order in orders:
+        order.reverse()
+    orders.reverse()
+    assert res.trace.to_text() == text
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("offset", [-1, 4])
+def test_a_frame_offset_out_of_range_is_refused_before_the_first_phase(offset, record):
+    # in validate_config's words; -1 would otherwise run as offset 3
+    cfg = make_config("square", TWO, {(1, 0): 1, (0, 1): offset})
+    with pytest.raises(SimulationError) as err:
+        run(cfg, PIPELINE_FULL, Schedule(), record=record)
+    assert str(err.value) == f"frame offset {offset} at (0, 1) outside [0,4)"
+    assert validate_config(cfg) == [str(err.value)]
 
 
 def test_unknown_policy_raises_even_with_an_empty_pipeline():
